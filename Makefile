@@ -32,10 +32,9 @@ bench-smoke:
 	  $(PYTHON) -m pytest benchmarks/bench_parallel_engine.py benchmarks/bench_fold.py benchmarks/bench_obs_overhead.py --benchmark-only --jobs 2
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression --strict --fresh benchmarks/results/BENCH_smoke.json
 
-# Reuse-fold microbenchmark: argsort fold vs the O(N) last-seen kernel
-# vs a store-loaded v2 curve answering a whole capacity sweep; appends
-# reuse_speedup + trace_gen_vectorize rows to BENCH_parallel.json (the
-# committed baselines the bench-smoke gate compares against).
+# Reuse-fold microbenchmark: argsort fold vs the O(N) last-seen kernel;
+# appends reuse_speedup + trace_gen_vectorize rows to BENCH_parallel.json
+# (the committed baselines the bench-smoke gate compares against).
 bench-fold:
 	$(PYTHON) -m pytest benchmarks/bench_fold.py --benchmark-only
 

@@ -1,20 +1,17 @@
 """Reuse-fold microbenchmark (``make bench-fold``).
 
-Times the three ways a figure cell can obtain working-set hit masks for
-one representative trace (the PR/twitter smoke cell):
+Times the two reuse-gap folds behind every working-set hit mask, on one
+representative trace (the PR/twitter smoke cell):
 
 1. **argsort fold** — the vectorised O(N log N) fallback
    (:func:`repro.mem.cache._argsort_reuse_gaps`);
 2. **last-seen kernel** — the O(N) numba fold
    (:func:`repro.mem.cachejit.reuse_gap_kernel`), when numba is
    importable and ``REPRO_JIT`` allows it (compile time excluded, like
-   any warmed JIT); on this container the column records ``null`` and
-   the selected path equals the fallback;
-3. **store-loaded curve** — a v2 reuse artifact round-tripped through a
-   scratch :class:`repro.sim.tracestore.TraceStore`, answering a whole
-   capacity sweep with zero per-process cast+cumsum.
+   any warmed JIT); without numba the column records ``null`` and the
+   selected path equals the fallback.
 
-All paths must agree bit-for-bit before anything is recorded.  The
+Both folds must agree bit-for-bit before anything is recorded.  The
 ``reuse_speedup`` row lands in ``BENCH_parallel.json`` (or the file
 ``REPRO_PARALLEL_JSON`` points at — ``make bench-smoke`` routes it into
 the scratch record checked by the ``--strict`` regression gate).  A
@@ -29,20 +26,10 @@ import time
 import numpy as np
 
 from repro.bench.workloads import _cell_spec, bench_scale
-from repro.mem.cache import (
-    GAP_COLD,
-    WorkingSetCache,
-    _argsort_reuse_gaps,
-    reuse_time_gaps,
-)
+from repro.mem.cache import _argsort_reuse_gaps, reuse_time_gaps
 from repro.mem.cachejit import reuse_gap_kernel
 from repro.sim.parallel import execute_job, record_parallel_timing
-from repro.sim.reusepack import build_reuse_profile
 from repro.sim.tracecache import TraceCache
-from repro.sim.tracestore import TraceStore
-
-#: Same capacity sweep as the mask_speedup row in bench_parallel_engine.
-SWEEP_BYTES = (16 << 10, 32 << 10, 64 << 10, 128 << 10)
 
 INF = np.iinfo(np.int64).max // 2
 
@@ -68,7 +55,7 @@ def _best_of(n, fn):
     return best, result
 
 
-def test_reuse_fold_speedup(once, tmp_path):
+def test_reuse_fold_speedup(once):
     addrs = _smoke_addresses()
     lines = addrs >> 6
 
@@ -91,36 +78,11 @@ def test_reuse_fold_speedup(once, tmp_path):
         )
     assert np.array_equal(argsort_gaps, selected_gaps)
 
-    # Curve persistence: a store round-trip must answer the sweep without
-    # the per-process cast+cumsum a fresh profile pays lazily.
-    store = TraceStore(tmp_path / "fold-store")
-    profile = build_reuse_profile(addrs)
-    key = ("bench_fold", "pr-twitter")
-    store.save_trace(key, _trace_of(addrs))
-    assert store.save_reuse(key, profile.line_size, profile)
-
-    fresh = build_reuse_profile(addrs)
-    start = time.perf_counter()
-    fresh_masks = [
-        fresh.hit_mask_for(WorkingSetCache(size)) for size in SWEEP_BYTES
-    ]
-    fresh_seconds = time.perf_counter() - start
-
-    loaded = store.load_reuse(key, profile.line_size, profile.n)
-    assert loaded is not None
-    start = time.perf_counter()
-    loaded_masks = [
-        loaded.hit_mask_for(WorkingSetCache(size)) for size in SWEEP_BYTES
-    ]
-    curve_seconds = time.perf_counter() - start
-    for want, got in zip(fresh_masks, loaded_masks):
-        assert np.array_equal(want, got)
-
     record_parallel_timing(
         {
             "benchmark": "reuse_speedup",
             "jobs": 1,
-            "cells": len(SWEEP_BYTES),
+            "cells": 1,
             "scale": bench_scale(),
             "accesses": int(addrs.size),
             "jit": kernel is not None,
@@ -129,20 +91,9 @@ def test_reuse_fold_speedup(once, tmp_path):
             "kernel_seconds": (
                 round(kernel_seconds, 4) if kernel_seconds is not None else None
             ),
-            "fresh_curve_seconds": round(fresh_seconds, 4),
-            "store_curve_seconds": round(curve_seconds, 4),
             "speedup": round(argsort_seconds / max(selected_seconds, 1e-9), 2),
-            "curve_speedup": round(fresh_seconds / max(curve_seconds, 1e-9), 2),
         }
     )
-
-
-def _trace_of(addrs: np.ndarray):
-    from repro.mem.trace import AccessTrace
-
-    trace = AccessTrace()
-    trace.add(addrs, label="bench-fold")
-    return trace
 
 
 def _segment_min_reference(targets, candidate, dist):

@@ -7,28 +7,17 @@ serial recomputation, and records the measured batch wall-clock in
 ``BENCH_parallel.json``.  The record carries a ``pricing`` field naming
 the path that priced the cells (compiled profiles vs full replay), and
 a second ``pricing_speedup`` row measures the same warmed cell priced
-both ways — the replay-vs-profile win as an artifact, not a claim.  A
-third ``mask_speedup`` row does the same one lattice level up: the
-figure suite's LLC capacity sweep, derived from one compiled reuse
-profile versus re-running the direct ``llc.hit_mask`` fold per
-geometry.
+both ways — the replay-vs-profile win as an artifact, not a claim.
 """
 
 import os
 import time
 
-import numpy as np
-
 from repro.bench.report import Table, emit
 from repro.bench.workloads import _cell_spec, bench_scale, prime_overall_grid
-from repro.mem.cache import WorkingSetCache
 from repro.sim.executor import PRICING_ENV
 from repro.sim.parallel import execute_job, record_parallel_timing
 from repro.sim.tracecache import TraceCache
-
-#: The working-set LLC sizes used across the figure suite (mcdram_dram,
-#: nvm_dram, hbm_dram testbeds) plus one larger point for sweep shape.
-MASK_SWEEP_BYTES = (16 << 10, 32 << 10, 64 << 10, 128 << 10)
 
 SMOKE_APPS = ("BFS", "PR")
 SMOKE_DATASETS = ("twitter", "rmat24")
@@ -78,7 +67,6 @@ def test_parallel_engine_smoke(once):
         assert serial.atmem.data_ratio == cell.atmem.data_ratio, (app, ds)
     assert all(cell.speedup > 0.9 for cell in cells.values())
     _record_pricing_speedup()
-    _record_mask_speedup()
 
 
 def _record_pricing_speedup() -> None:
@@ -115,50 +103,5 @@ def _record_pricing_speedup() -> None:
             "wall_seconds": round(profile_seconds, 3),
             "replay_seconds": round(replay_seconds, 3),
             "speedup": round(replay_seconds / max(profile_seconds, 1e-9), 2),
-        }
-    )
-
-
-def _record_mask_speedup() -> None:
-    """Sweep the figure-suite LLC capacities both ways; record the win.
-
-    The derived path goes through the real :class:`TraceCache` plumbing
-    on a cold cache: one ``stage.reuse_build`` fold for the trace, then
-    one O(log N) window solve + compare per geometry.  The direct path
-    re-runs ``WorkingSetCache.hit_mask`` (argsort + sort) per geometry.
-    Masks must stay bit-identical, and the reuse profile must be built
-    exactly once for the whole sweep — the speedup is only recorded
-    because the answers agree.
-    """
-    spec = _cell_spec("nvm_dram", "PR", "twitter")
-    warm = TraceCache()
-    execute_job(spec, trace_cache=warm)  # builds the trace once
-    key = spec.trace_key()
-    trace = warm.trace(key, lambda: None)  # served from memory
-    addrs = trace.all_addresses()
-    sweep = [WorkingSetCache(size) for size in MASK_SWEEP_BYTES]
-
-    start = time.perf_counter()
-    direct = [llc.hit_mask(addrs) for llc in sweep]
-    direct_seconds = time.perf_counter() - start
-
-    cold = TraceCache(store=None)
-    cold.trace(key, lambda: trace)
-    start = time.perf_counter()
-    derived = [cold.hit_mask(key, llc, trace) for llc in sweep]
-    derived_seconds = time.perf_counter() - start
-
-    for want, got in zip(direct, derived):
-        assert np.array_equal(want, got)
-    assert cold.stats.reuse_misses == 1  # one fold served the whole sweep
-    record_parallel_timing(
-        {
-            "benchmark": "mask_speedup",
-            "jobs": 1,
-            "cells": len(sweep),
-            "scale": bench_scale(),
-            "wall_seconds": round(derived_seconds, 3),
-            "direct_seconds": round(direct_seconds, 3),
-            "speedup": round(direct_seconds / max(derived_seconds, 1e-9), 2),
         }
     )

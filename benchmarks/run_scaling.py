@@ -24,14 +24,13 @@ compared against the serial run: the data plane must be invisible in
 results (bit-identical figures) while changing only the wall-clock.
 
 Every recorded row carries a per-stage wall-clock breakdown (graph
-build / trace generation / reuse-profile build / mask derivation /
-direct hit-mask solve / profile build / pricing — see
+build / trace generation / direct hit-mask solve / streaming reuse fold
+/ profile build / pricing — see
 :func:`repro.sim.parallel.stage_breakdown`), printed per phase, so a
 regressed configuration names the stage that slowed down instead of
-just the total.  ``stage.reuse_build`` + ``stage.mask_derive`` replace
-most of ``stage.hit_mask`` since masks are derived from compiled reuse
-profiles (:mod:`repro.sim.reusepack`); the direct stage only appears
-for cache models the profile cannot describe.
+just the total.  ``stage.reuse_build`` only appears for traces over the
+worker memory budget, whose masks stream through
+:mod:`repro.sim.reusepack` instead of the direct solve.
 
 Exit status is non-zero if any phase produces different bytes, if a warm
 parallel run fails to beat serial, or if a cold parallel run falls below
@@ -142,14 +141,10 @@ def _stage_summary(phase: str) -> str:
     ) or "(all stages zero)"
 
 
-#: Artifact-reuse counters worth a line per phase: how often each lattice
-#: level (trace / reuse profile / hit mask) was served without rebuilding,
-#: and how many reuse folds ran incrementally over a phase delta.
+#: Artifact-reuse counters worth a line per phase: how often a trace or
+#: hit mask was served without rebuilding.
 _CACHE_COUNTERS = (
     "cache.trace_hits",
-    "cache.reuse_hits",
-    "cache.store_reuse_hits",
-    "cache.reuse_extends",
     "cache.mask_hits",
 )
 

@@ -185,11 +185,6 @@ def seed_matrix() -> tuple[ChaosCase, ...]:
             kind="profile-crc",
         ),
         ChaosCase(
-            "reuse-stale-crc",
-            FaultPlan(seed=115),
-            kind="reuse-crc",
-        ),
-        ChaosCase(
             "multitenant-worker-crash",
             FaultPlan((FaultSpec(SITE_POOL_CRASH, match="mt/alice"),), seed=111),
             kind="mt-pool",
@@ -675,80 +670,6 @@ def _run_profile_crc_case(
             f"saves={reader_store.stats.profile_saves} "
             f"second-view rejects={second_store.stats.rejects} "
             f"loads={second_store.stats.profile_loads}"
-        )
-    )
-    return outcome
-
-
-def _run_reuse_crc_case(
-    case: ChaosCase, platform: PlatformConfig
-) -> ChaosOutcome:
-    """A stored reuse profile rots on disk; derived masks must not trust it.
-
-    Mirrors the ``profile-stale-crc`` case one lattice level up: bytes
-    are flipped in the committed ``reuse-*.npy`` files, and the stored
-    hit masks are removed (as a budget eviction would) so the reader is
-    forced through the reuse-derive path.  The fresh store view must
-    reject the rotten profile, re-fold it from the (intact) trace,
-    re-save it, and produce identical figures; the masks are removed
-    once more so a second fresh view proves the re-saved profile loads
-    clean and still derives the same figures.  ``fired`` counts the
-    files corrupted, since no injector site is involved.
-    """
-    outcome = ChaosOutcome(case=case.name)
-    spec = JobSpec(
-        app=_default_app(), platform=platform, flow="cell", placement="fast"
-    )
-    reference = committed_figures(execute_job(spec, trace_cache=TraceCache()))
-    outcome.reference = reference
-
-    def drop_masks(root: Path) -> None:
-        for path in sorted(root.rglob("mask-*")):
-            path.unlink()
-
-    with tempfile.TemporaryDirectory(prefix="chaos-reuse-") as root:
-        writer = TraceCache(store=TraceStore(Path(root)))
-        execute_job(spec, trace_cache=writer)
-        corrupted = 0
-        for path in sorted(Path(root).rglob("reuse-*.npy")):
-            blob = bytearray(path.read_bytes())
-            if not blob:
-                continue
-            blob[-1] ^= 0xFF
-            path.write_bytes(bytes(blob))
-            corrupted += 1
-        drop_masks(Path(root))
-        reader_store = TraceStore(Path(root))
-        reread_result = execute_job(
-            spec, trace_cache=TraceCache(store=reader_store)
-        )
-        drop_masks(Path(root))
-        second_store = TraceStore(Path(root))
-        second_result = execute_job(
-            spec, trace_cache=TraceCache(store=second_store)
-        )
-    outcome.completed = True
-    outcome.fired = corrupted
-    outcome.figures = committed_figures(reread_result)
-    outcome.identical = figures_identical(
-        outcome.figures, reference
-    ) and figures_identical(committed_figures(second_result), reference)
-    rebuilt_ok = (
-        reader_store.stats.rejects >= 1
-        and reader_store.stats.reuse_saves >= 1
-        and second_store.stats.rejects == 0
-        and second_store.stats.reuse_loads >= 1
-    )
-    outcome.consistent = rebuilt_ok
-    outcome.detail = (
-        f"{reader_store.stats.rejects} stale reuse profile(s) rejected, "
-        f"re-folded, and re-served from the store"
-        if rebuilt_ok
-        else (
-            f"rejects={reader_store.stats.rejects} "
-            f"saves={reader_store.stats.reuse_saves} "
-            f"second-view rejects={second_store.stats.rejects} "
-            f"loads={second_store.stats.reuse_loads}"
         )
     )
     return outcome
@@ -1455,8 +1376,6 @@ def run_case(
         return _run_store_lease_case(case, platform)
     if case.kind == "profile-crc":
         return _run_profile_crc_case(case, platform)
-    if case.kind == "reuse-crc":
-        return _run_reuse_crc_case(case, platform)
     if case.kind == "mt":
         return _run_mt_case(case, platform)
     if case.kind == "mt-squeeze":

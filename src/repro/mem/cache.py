@@ -41,7 +41,8 @@ GAP_COLD = np.iinfo(np.int64).max
 
 #: When truthy, every kernel-folded reuse-gap array is re-computed by the
 #: argsort fold and the two must be bit-identical (the reuse parity
-#: oracle, mirroring ``REPRO_VERIFY_MASK`` one lattice level down).
+#: oracle; :func:`repro.sim.reusepack.fold_reuse_chunks` applies it to
+#: streamed folds as well).
 VERIFY_REUSE_ENV = "REPRO_VERIFY_REUSE"
 
 #: The dense last-seen table covers ``max - min + 1`` line slots; a
@@ -100,10 +101,9 @@ def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarr
     first occurrence.
 
     This is the fold the working-set model is built on, shared by
-    :meth:`WorkingSetCache.reuse_gaps` and the compiled reuse profiles in
+    :meth:`WorkingSetCache.reuse_gaps` and the streaming reuse folds in
     :mod:`repro.sim.reusepack`.  The gaps are **LLC-size-independent**:
-    they depend only on the address stream and the line granularity,
-    which is what lets one fold serve every capacity of a sweep.
+    they depend only on the address stream and the line granularity.
 
     Two implementations with bit-identical output: when numba is
     importable (and ``REPRO_JIT`` allows it), an O(N) single pass over a

@@ -99,7 +99,7 @@ def reuse_gaps_py(lines, base, last_seen, gaps, gap_cold, start) -> None:
     most recent access to ``line`` (``-1``: never seen), and accesses in
     this call occupy global positions ``start .. start + len(lines) - 1``
     — ``start`` is 0 for a whole-trace fold, and a prior fold's length
-    for an incremental phase extension (:meth:`repro.sim.reusepack.
+    for an incremental chunk extension (:meth:`repro.sim.reusepack.
     ReuseProfile.extend`), which carries the table forward instead of
     refolding the prefix.  Bit-identical to the argsort fold in
     :func:`repro.mem.cache.reuse_time_gaps`: both report

@@ -25,12 +25,11 @@ FAMILIES: dict[str, str] = {
     "executor": "simulated execution accounting (repro.sim.executor)",
     "fault": "injected-fault span markers (repro.faults)",
     "faults": "injected-fault counters (repro.faults)",
-    "mask": "hit-mask parity audits (repro.mem.cache)",
     "migration": "page-migration accounting (repro.mem.migrate)",
     "phase": "runtime phase lifecycle (repro.sim.runtime)",
     "pool": "process-pool engine (repro.sim.parallel)",
     "pricing": "tier-pricing parity audits (repro.mem.pricing)",
-    "reuse": "reuse-profile parity audits (repro.sim.reusepack)",
+    "reuse": "REPRO_VERIFY_REUSE parity audits (repro.mem.cache, repro.sim.reusepack)",
     "serve": "placement-service lifecycle (repro.serve.service)",
     "shm": "shared-memory dataset plane (repro.sim.shm)",
     "slo": "error budgets and burn rates (repro.obs.slo)",

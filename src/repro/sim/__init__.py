@@ -10,13 +10,14 @@
   job specs fanned out across a process pool, with serial fallback.
 - :mod:`repro.sim.tracecache` — content-keyed cache reusing deterministic
   traces and LLC hit masks across placements and sweep points.
-- :mod:`repro.sim.reusepack` — compiled reuse profiles: one
-  capacity-independent fold per trace from which every working-set LLC
-  geometry's hit mask (and miss-ratio curve) derives in O(log N).
+- :mod:`repro.sim.reusepack` — chunked streaming reuse folds: the
+  working-set hit mask of a trace too large to copy flat within the
+  worker memory budget.
 - :mod:`repro.sim.profilepack` — compiled miss profiles: per-(phase,
   page) histograms that price placements in O(pages) without replay.
 - :mod:`repro.sim.tracestore` — persistent content-keyed store sharing
-  all four artifacts across worker processes and sessions.
+  traces, hit masks and miss profiles across worker processes and
+  sessions.
 """
 
 from repro.sim.executor import TraceExecutor

@@ -29,12 +29,9 @@ priced run increments ``pricing.profile_cells`` or
 everywhere, and ``REPRO_VERIFY_PROFILE=1`` re-replays each profile-priced
 run and asserts the two costs agree (the parity oracle).
 
-The hit mask of step 1 is itself usually *derived* rather than simulated:
-the trace cache compiles a capacity-independent reuse profile — the
-fourth artifact of the lattice, :mod:`repro.sim.reusepack` — and answers
-every working-set LLC geometry from it with one O(log N) window solve.
-``REPRO_VERIFY_MASK=1`` is the matching parity oracle on that path (see
-:mod:`repro.sim.tracecache`).
+The hit mask of step 1 comes from the trace cache
+(:meth:`repro.sim.tracecache.TraceCache.hit_mask`), which computes it
+once per trace and LLC geometry.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.mem.trace import AccessTrace
 from repro.obs.bus import emit
 from repro.sim.executor import TraceExecutor
 from repro.sim.metrics import RunCost
-from repro.sim.reusepack import derivable
 from repro.sim.tracecache import TraceCache
 
 
@@ -224,9 +223,7 @@ class MultiTenantHost:
         *cumulative*: phase *k* covers the original run plus *k* further
         runs of the idempotent ``run_once`` (the deterministic stand-in
         for "the application kept executing"), so each phase's trace is
-        a strict prefix of the next — exactly the property the
-        incremental reuse extension (:meth:`TraceCache.reuse_profile`
-        with ``extend_from``) relies on.
+        a strict prefix of the next.
         """
         self.tenant(name)
         k = self._phases.get(name, 0) + 1
@@ -268,10 +265,8 @@ class MultiTenantHost:
         """Profile one tenant on its current placement; returns (plan, baseline).
 
         After a :meth:`phase_change` the profiled stream is the phase's
-        cumulative trace under a phase-suffixed key; when the LLC's masks
-        are reuse-derivable, the previous phase's profile (if still
-        cached) is extended over the delta only — ``stage.reuse_extend``
-        instead of a whole-stream ``stage.reuse_build``.
+        cumulative trace under a phase-suffixed key, so each phase's trace
+        and hit mask are cached independently.
         """
         _, app, runtime, key = self.tenant(name)
         phase = self._phases.get(name, 0)
@@ -281,15 +276,6 @@ class MultiTenantHost:
             trace = self.trace_cache.trace(
                 pkey, lambda: self._phase_trace(app, phase)
             )
-            if phase > 0 and derivable(self.system.llc):
-                # Prime the reuse profile with the previous phase named
-                # as the extension base; hit_mask then derives from it.
-                self.trace_cache.reuse_profile(
-                    pkey,
-                    trace,
-                    self.system.llc.line_size,
-                    extend_from=self._phase_key(key, phase - 1),
-                )
             hits = self.trace_cache.hit_mask(pkey, self.system.llc, trace)
         else:
             trace = self._phase_trace(app, phase)

@@ -36,7 +36,7 @@ plan from the jobs' trace keys and the persistent trace store
 (:mod:`repro.sim.tracestore`).  Store-cold keys go through the **cold
 pipeline** first: each key is decomposed into a *trace* stage (build the
 raw trace and land it in the store) and a *fold* stage (load it back as
-a shared mmap and derive the reuse / mask / profile artifacts), chained
+a shared mmap and derive the hit mask and miss profile), chained
 completion-driven so a key's fold starts the moment its trace lands and
 its cells dispatch store-warm right after.  Cold-stage concurrency is
 **admission-clamped** to the machine (``REPRO_POOL_CPUS``, default the
@@ -786,9 +786,9 @@ def _stage_fold_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> Non
     """DAG stage 2: derive one cold key's fold artifacts from its trace.
 
     Loads the trace back (a shared mmap when stage 1 persisted it in this
-    store, a rebuild otherwise) and folds the reuse profile, LLC hit
-    mask, and page miss profile through the cache, which persists each
-    one under the adaptive write policy.  After this stage the key's
+    store, a rebuild otherwise) and folds the LLC hit mask and page miss
+    profile through the cache, which persists each one under the
+    adaptive write policy.  After this stage the key's
     cells dispatch store-warm.
     """
     cache = process_trace_cache() if cache is None else cache
@@ -1118,7 +1118,7 @@ class ExperimentPool:
         Each key's trace stage builds and persists the raw trace; its
         fold stage is submitted the moment that trace lands
         (completion-driven, no cross-key barrier), loads it back as a
-        shared mmap, and derives the reuse / mask / profile artifacts.
+        shared mmap, and derives the hit mask and miss profile.
         In-flight stages are bounded by the admission clamp, not the
         worker count, and fold stages are submitted ahead of queued trace
         stages so finished keys free their memory early.
@@ -1538,9 +1538,7 @@ CANONICAL_STAGES = (
     "graph_build",
     "trace_gen",
     "hit_mask",
-    "mask_derive",
     "reuse_build",
-    "reuse_extend",
     "profile_build",
     "pricing",
 )

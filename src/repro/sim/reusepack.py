@@ -1,40 +1,35 @@
-"""Compiled reuse profiles: one pass over a trace, masks for every LLC size.
+"""Streaming reuse folds: working-set hit masks within the worker budget.
 
-The fourth cached artifact of the lattice ``trace -> reuse profile ->
-LLC hit mask -> miss profile``.  Where a hit mask is keyed by
-``(trace, llc_sig)`` and a miss profile by the same pair, a
-:class:`ReuseProfile` is keyed by the **trace alone** (plus the line
-granularity): the working-set model's reuse time gaps depend only on
-the address stream and the cache-line size, never on capacity.  The
-profile therefore holds
+:meth:`repro.sim.tracecache.TraceCache.hit_mask` computes every mask of
+an in-budget trace with the direct
+:meth:`repro.mem.cache.WorkingSetCache.hit_mask`.  A trace whose flat
+address copy would spend more than a quarter of ``REPRO_WORKER_BYTES``
+cannot take that route, so its mask comes from this module instead:
+:func:`fold_reuse_chunks` folds the trace chunk by chunk into a
+:class:`ReuseProfile`, and :meth:`ReuseProfile.hit_mask_for` answers the
+LLC's mask from it.  The profile holds
 
 - ``gaps`` — per-access reuse time gaps in program order (the output of
   :func:`repro.mem.cache.reuse_time_gaps`, with
   :data:`repro.mem.cache.GAP_COLD` marking first occurrences), and
-- ``sorted_gaps`` — the same gaps ascending, and
-- the window curve (prefix sums + ``f(W)`` samples), persisted with the
-  gap rows since artifact v2 so store-loaded profiles skip the
-  per-process float64 cast+cumsum entirely.
+- ``sorted_gaps`` — the same gaps ascending,
 
-From the cached curve any capacity's working-set window W\\* solves in
-O(log N) (:func:`repro.mem.cache.solve_window_curve` — no re-sort), and
-the hit mask for any LLC geometry is one vectorised compare
-``gaps <= W*``.  A whole fig9/fig10 capacity sweep derives all its
-masks from *one* O(N log N) fold over the trace, and miss-ratio curves
-come for free from the sorted gaps.
+plus, while the stream stays dense, the fold's last-seen table so the
+next chunk arrives by :meth:`ReuseProfile.extend` instead of a refold.
 
 Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` performs
-the *identical* float64 operations as
-:meth:`repro.mem.cache.WorkingSetCache.hit_mask` (same sort → float64
-cast → prefix curve → closed-form solve → compare), so derived masks
-are indistinguishable from direct ones.  The direct path remains the
-parity oracle — ``REPRO_VERIFY_MASK=1`` makes
-:class:`repro.sim.tracecache.TraceCache` recompute every derived mask
-directly and raise on divergence (see DESIGN.md section 10).
+the *identical* float64 operations as ``WorkingSetCache.hit_mask`` (same
+sort → float64 cast → prefix curve → closed-form solve → compare), and
+a chunked fold equals the one-shot fold of the concatenated stream.
+``REPRO_VERIFY_REUSE=1`` re-checks the second half at runtime: every
+chained streaming fold is compared with a one-shot refold
+(``reuse.parity_checks`` / ``reuse.parity_failures``, :class:`TraceError`
+on divergence).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +38,14 @@ from repro.errors import TraceError
 from repro.mem.cache import (
     GAP_COLD,
     LINE_SIZE,
+    VERIFY_REUSE_ENV,
     WorkingSetCache,
     dense_table_span,
     gap_window_curve,
     reuse_time_gaps,
     solve_window_curve,
 )
-from repro.mem.trace import AccessTrace
-
-#: Version stamp carried by serialized reuse profiles (repro.sim.tracestore).
-#: v2 added the window-curve columns (``prefix``/``f_at_gap`` float64) so
-#: a store-loaded profile answers ``window()``/``hit_mask()`` without the
-#: per-process cast+cumsum; v1 entries (gap rows only) are rejected and
-#: rebuilt, never migrated.
-REUSE_FORMAT = 2
+from repro.obs.metrics import process_metrics
 
 
 def derivable(llc) -> bool:
@@ -72,30 +61,17 @@ def derivable(llc) -> bool:
 
 @dataclass
 class ReuseProfile:
-    """Per-access reuse gaps plus the sorted-gap window curve.
-
-    The window curve (``prefix``/``f_at_gap`` float64 arrays) either
-    arrives pre-computed — a v2 store entry persists it, so a loaded
-    profile answers ``window()``/``hit_mask()`` with zero per-process
-    float work — or is materialised lazily after an in-process fold and
-    cached on the instance.  The float64 view of the sorted gaps (used
-    only for miss-ratio counting) stays lazy in both cases.
+    """Per-access reuse gaps plus the same gaps sorted.
 
     ``_fold_state`` optionally carries the fold's dense last-seen table
     (``(base_line, table)``, global stream positions, ``-1`` = never
-    seen) so :meth:`extend` can fold *only* a new phase's delta and
-    merge, instead of refolding the whole stream.  The state is
-    in-process only — it is never serialized, so store-loaded profiles
-    answer :attr:`can_extend` with ``False`` and extension falls back to
-    a full refold.
+    seen) so :meth:`extend` can fold *only* the next chunk's addresses
+    and merge, instead of refolding the whole stream.
     """
 
     gaps: np.ndarray  # int64 [n], program order; GAP_COLD = first touch
     sorted_gaps: np.ndarray  # int64 [n], ascending
     line_size: int = LINE_SIZE
-    _sorted_f: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _prefix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _f_at_gap: np.ndarray | None = field(default=None, repr=False, compare=False)
     _fold_state: tuple[int, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -105,35 +81,16 @@ class ReuseProfile:
         """Accesses described by this profile."""
         return int(self.gaps.size)
 
-    def matches(self, trace: AccessTrace) -> bool:
-        """Whether this profile describes ``trace`` (shape-level check).
-
-        Cheap by design, like :meth:`TraceProfile.matches` — content
-        trust comes from the CRC at the store boundary and the content
-        key at the cache boundary.
-        """
-        return self.n == trace.total_accesses
-
-    # ------------------------------------------------------------------
-    # the cached window curve
-    # ------------------------------------------------------------------
-    def _sorted_float(self) -> np.ndarray:
-        if self._sorted_f is None:
-            self._sorted_f = self.sorted_gaps.astype(np.float64)
-        return self._sorted_f
-
-    def _curve(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._f_at_gap is None:
-            # Identical to WorkingSetCache.solve_window's preamble:
-            # ascending gaps cast to float64, then the prefix curve.
-            self._prefix, self._f_at_gap = gap_window_curve(
-                self._sorted_float()
-            )
-        return self._prefix, self._f_at_gap
-
     def window(self, capacity_lines: int) -> float:
-        """The working-set window W* for one capacity, in O(log N)."""
-        prefix, f_at_gap = self._curve()
+        """The working-set window W* for one capacity.
+
+        Identical to :meth:`WorkingSetCache.solve_window` after its
+        sort: ascending gaps cast to float64, the prefix curve, then the
+        closed-form solve.
+        """
+        prefix, f_at_gap = gap_window_curve(
+            self.sorted_gaps.astype(np.float64)
+        )
         return solve_window_curve(prefix, f_at_gap, capacity_lines)
 
     # ------------------------------------------------------------------
@@ -153,13 +110,13 @@ class ReuseProfile:
         last seen in the base stream are patched from the carried
         last-seen table, and the sorted row is a searchsorted merge —
         bit-identical to ``np.sort`` of the concatenation, without the
-        O((N+d) log (N+d)) re-sort.  The base profile is never mutated
-        (it stays cached under its own key); the result carries its own
-        forwarded table so extensions chain per phase.
+        O((N+d) log (N+d)) re-sort.  The base profile is never mutated;
+        the result carries its own forwarded table so extensions chain
+        chunk after chunk.
 
-        Raises :class:`TraceError` when the profile has no fold state
-        (store-loaded profiles don't) — callers should check
-        :attr:`can_extend` and fall back to a full refold.
+        Raises :class:`TraceError` when the profile has no fold state —
+        callers should check :attr:`can_extend` and fall back to a full
+        refold.
         """
         if self._fold_state is None:
             raise TraceError(
@@ -171,9 +128,6 @@ class ReuseProfile:
                 gaps=self.gaps,
                 sorted_gaps=self.sorted_gaps,
                 line_size=self.line_size,
-                _sorted_f=self._sorted_f,
-                _prefix=self._prefix,
-                _f_at_gap=self._f_at_gap,
                 _fold_state=self._fold_state,
             )
         shift = int(self.line_size).bit_length() - 1
@@ -223,7 +177,7 @@ class ReuseProfile:
         return new_base, new_table
 
     # ------------------------------------------------------------------
-    # derived masks and miss ratios
+    # derived masks
     # ------------------------------------------------------------------
     def hit_mask(self, capacity_lines: int) -> np.ndarray:
         """Boolean hit mask for a working-set LLC of ``capacity_lines``.
@@ -256,29 +210,6 @@ class ReuseProfile:
             )
         return self.hit_mask(llc.capacity_lines)
 
-    def miss_ratio(self, capacity_lines: int) -> float:
-        """Miss ratio at one capacity, in O(log N) — no mask needed."""
-        n = self.n
-        if n == 0:
-            return 0.0
-        window = self.window(capacity_lines)
-        if np.isinf(window):
-            # Only cold misses: every finite gap hits.
-            hits = int(np.searchsorted(self.sorted_gaps, GAP_COLD, side="left"))
-        else:
-            # Mirrors the float64 `gaps <= window` compare of hit_mask.
-            hits = int(
-                np.searchsorted(self._sorted_float(), window, side="right")
-            )
-        return 1.0 - hits / n
-
-    def miss_ratio_curve(self, capacities_lines) -> np.ndarray:
-        """Miss ratios for a whole capacity sweep (float64, same order)."""
-        return np.array(
-            [self.miss_ratio(int(c)) for c in np.asarray(capacities_lines)],
-            dtype=np.float64,
-        )
-
 
 def _fold_state_of(lines: np.ndarray) -> tuple[int, np.ndarray] | None:
     """The dense last-seen table after folding ``lines``, or ``None``.
@@ -306,9 +237,8 @@ def build_reuse_profile(
 
     One linear pass (or one vectorised stable argsort — see
     :func:`repro.mem.cache.reuse_time_gaps`) plus one ``np.sort`` of the
-    gaps — paid once per trace and amortised over every LLC capacity
-    derived from the result.  With ``with_state`` (the default) the
-    profile also carries the fold's last-seen table so later phases can
+    gaps.  With ``with_state`` (the default) the profile also carries
+    the fold's last-seen table so later chunks can
     :meth:`~ReuseProfile.extend` it; pass ``False`` for one-shot folds
     that will never grow (saves the table's memory).
     """
@@ -343,6 +273,9 @@ def fold_reuse_chunks(
     chunks seen so far and refolding once — correctness over memory in
     the pathological case.  Chunks are retained as views, so the
     streaming path allocates nothing beyond the fold's own rows.
+
+    ``REPRO_VERIFY_REUSE=1`` arms the parity oracle: a chained fold is
+    compared with the one-shot refold of the concatenated chunks.
     """
     profile: ReuseProfile | None = None
     seen: list[np.ndarray] = []
@@ -364,155 +297,25 @@ def fold_reuse_chunks(
         return build_reuse_profile(np.empty(0, dtype=np.int64), line_size)
     if not chained:
         return build_reuse_profile(np.concatenate(seen), line_size)
+    if os.environ.get(VERIFY_REUSE_ENV):
+        _verify_streamed(profile, seen, line_size)
     return profile
 
 
-def validate_reuse(profile: ReuseProfile) -> None:
-    """Structural validation; raises :class:`TraceError` on any defect.
-
-    Run at the store boundary: a deserialised profile must be internally
-    consistent before masks are derived from it.  Checks are O(N) single
-    passes (no re-sort): the sorted row must be an ascending arrangement
-    with the same extremes and cold count as the program-order row, and
-    every gap must be at least 1 (a line cannot be reused in zero time).
-    """
-    gaps, sorted_gaps = profile.gaps, profile.sorted_gaps
-    if gaps.ndim != 1 or sorted_gaps.shape != gaps.shape:
-        raise TraceError(
-            f"reuse rows disagree: {gaps.shape} vs {sorted_gaps.shape}"
-        )
-    if profile.line_size <= 0 or profile.line_size & (profile.line_size - 1):
-        raise TraceError(
-            f"reuse profile line size {profile.line_size} is not a power of two"
-        )
-    if gaps.size == 0:
-        return
-    if np.any(sorted_gaps[1:] < sorted_gaps[:-1]):
-        raise TraceError("sorted reuse gaps must be non-decreasing")
-    if int(sorted_gaps[0]) < 1:
-        raise TraceError("reuse gaps must be >= 1 access")
-    if int(sorted_gaps[0]) != int(gaps.min()) or int(sorted_gaps[-1]) != int(
-        gaps.max()
-    ):
-        raise TraceError("sorted reuse gaps do not span the program-order gaps")
-    n_cold = int(np.count_nonzero(gaps == GAP_COLD))
-    if int(np.count_nonzero(sorted_gaps == GAP_COLD)) != n_cold:
-        raise TraceError("cold-miss counts disagree between reuse rows")
-    if n_cold == 0:
-        raise TraceError("a non-empty trace must have at least one cold miss")
-    _validate_curve(profile)
-
-
-def _validate_curve(profile: ReuseProfile) -> None:
-    """Cheap invariants of an attached (persisted) window curve.
-
-    Deliberately O(1) beyond shape checks: the CRC at the store boundary
-    guards content, and re-deriving the curve here would pay exactly the
-    cast+cumsum that persisting it exists to avoid.  The endpoint
-    identities (``prefix[0] = 0``, ``f(g_last) = prefix[n]``, and the
-    last prefix step equalling the largest gap) catch layout and
-    row-ordering mistakes without touching the interior.
-    """
-    prefix, f_at_gap = profile._prefix, profile._f_at_gap
-    if prefix is None and f_at_gap is None:
-        return
-    if prefix is None or f_at_gap is None:
-        raise TraceError("reuse curve rows must be attached together")
-    n = profile.n
-    if prefix.shape != (n + 1,) or f_at_gap.shape != (n,):
-        raise TraceError(
-            f"reuse curve rows have shapes {prefix.shape}/{f_at_gap.shape}, "
-            f"expected ({n + 1},)/({n},)"
-        )
-    if prefix.dtype != np.float64 or f_at_gap.dtype != np.float64:
-        raise TraceError("reuse curve rows must be float64")
-    if n == 0:
-        if prefix[0] != 0.0:
-            raise TraceError("empty reuse curve must start at zero")
-        return
-    last_gap = float(profile.sorted_gaps[-1])
-    if (
-        prefix[0] != 0.0
-        or f_at_gap[-1] != prefix[-1]
-        or prefix[-1] != prefix[-2] + last_gap
-    ):
-        raise TraceError("reuse curve endpoints disagree with the gap rows")
-
-
-# ----------------------------------------------------------------------
-# columnar (de)serialisation, used by repro.sim.tracestore
-# ----------------------------------------------------------------------
-def reuse_to_columnar(profile: ReuseProfile) -> tuple[np.ndarray, dict]:
-    """Split a reuse profile into one dense array plus a JSON record.
-
-    Artifact v2 is one ``float64 [4, n + 1]`` array:
-
-    ======  =======================  ==========================
-    row     columns ``[:n]``         trailing column
-    ======  =======================  ==========================
-    0       ``gaps`` (int64 bits)    zero padding
-    1       ``sorted_gaps`` (bits)   zero padding
-    2       ``prefix[:n]``           ``prefix[n]``
-    3       ``f_at_gap``             zero padding
-    ======  =======================  ==========================
-
-    The gap rows keep their exact int64 bit patterns via ``.view``
-    (``GAP_COLD`` does not survive a float64 *value* cast); the curve
-    rows are genuine float64.  Persisting the curve costs 2x the v1
-    bytes but removes the per-process cast+cumsum from every store-warm
-    ``window()``/``hit_mask()`` — which is the whole point of the v2
-    artifact.
-    """
-    n = profile.n
-    prefix, f_at_gap = profile._curve()
-    packed = np.zeros((4, n + 1), dtype=np.float64)
-    packed[0, :n] = np.ascontiguousarray(
-        profile.gaps, dtype=np.int64
-    ).view(np.float64)
-    packed[1, :n] = np.ascontiguousarray(
-        profile.sorted_gaps, dtype=np.int64
-    ).view(np.float64)
-    packed[2, :] = prefix
-    packed[3, :n] = f_at_gap
-    record = {
-        "reuse_format": REUSE_FORMAT,
-        "n": n,
-        "line_size": int(profile.line_size),
-    }
-    return packed, record
-
-
-def reuse_from_columnar(stacked: np.ndarray, record: dict) -> ReuseProfile:
-    """Rebuild (and validate) a reuse profile from its serialized halves.
-
-    ``stacked`` may be a read-only mmap view; the gap rows stay
-    zero-copy int64 bit-views into its (C-contiguous) row slices, and
-    the curve rows attach pre-computed so no float work happens at load.
-    Raises :class:`TraceError` on any structural defect — including v1
-    entries, which fail the ``reuse_format`` / shape checks — so callers
-    can reject the store entry and rebuild.
-    """
-    try:
-        n = int(record["n"])
-        line_size = int(record["line_size"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"malformed reuse record: {exc}") from exc
-    if int(record.get("reuse_format", -1)) != REUSE_FORMAT:
-        raise TraceError("reuse format version mismatch")
-    stacked = np.asarray(stacked)
-    if stacked.dtype != np.float64 or stacked.shape != (4, n + 1):
-        raise TraceError(
-            f"reuse array has dtype/shape {stacked.dtype}/{stacked.shape}, "
-            f"expected float64 (4, {n + 1})"
-        )
-    gaps = np.ascontiguousarray(stacked[0, :n]).view(np.int64)
-    sorted_gaps = np.ascontiguousarray(stacked[1, :n]).view(np.int64)
-    profile = ReuseProfile(
-        gaps=gaps,
-        sorted_gaps=sorted_gaps,
-        line_size=line_size,
-        _prefix=stacked[2],
-        _f_at_gap=stacked[3, :n],
+def _verify_streamed(
+    streamed: ReuseProfile, chunks: list[np.ndarray], line_size: int
+) -> None:
+    """The streaming parity oracle: a one-shot refold must agree bit-for-bit."""
+    registry = process_metrics()
+    registry.inc("reuse.parity_checks")
+    direct = build_reuse_profile(
+        np.concatenate(chunks), line_size, with_state=False
     )
-    validate_reuse(profile)
-    return profile
+    if not (
+        np.array_equal(streamed.gaps, direct.gaps)
+        and np.array_equal(streamed.sorted_gaps, direct.sorted_gaps)
+    ):
+        registry.inc("reuse.parity_failures")
+        raise TraceError(
+            "streamed reuse fold diverged from the one-shot refold"
+        )

@@ -12,22 +12,20 @@ model.  Both artifacts are *pure functions of the cell's inputs*:
 - the LLC hit mask (:meth:`repro.mem.cache.WorkingSetCache.hit_mask`) is a
   pure function of the trace and the cache geometry ``(size, line)``.
 
-The full artifact lattice is ``trace -> reuse profile -> hit mask ->
-miss profile``.  The reuse profile (:mod:`repro.sim.reusepack`) is keyed
-by the **trace alone** — reuse gaps are LLC-size-independent — so a
-capacity sweep folds the trace once and derives every geometry's mask
-with one vectorised compare (:meth:`TraceCache.reuse_profile` /
-``stage.mask_derive``).  Derived masks are bit-exact with the direct
-simulation by construction; setting ``REPRO_VERIFY_MASK=1`` re-runs the
-direct ``llc.hit_mask`` as a parity oracle for every derived mask
-(``mask.parity_checks`` / ``mask.parity_failures``) and raises
-:class:`repro.errors.TraceError` on divergence.  One lattice level down,
-``REPRO_VERIFY_REUSE=1`` does the same for the fold itself: the O(N)
-last-seen kernel (:mod:`repro.mem.cachejit`) and incremental phase
-extensions (:meth:`ReuseProfile.extend`) are both re-checked against the
-argsort refold (``reuse.parity_checks`` / ``reuse.parity_failures``).
+The artifact chain is ``trace -> hit mask -> miss profile``, and each
+platform has one LLC geometry, so a trace needs one mask per platform.
+:meth:`TraceCache.hit_mask` computes it with the direct
+``llc.hit_mask`` over the trace's flat address array
+(``stage.hit_mask``).  The one exception is a trace whose flat copy
+would break the ``REPRO_WORKER_BYTES`` budget: its working-set mask
+comes from a chunked streaming reuse fold
+(:func:`repro.sim.reusepack.fold_reuse_chunks`, ``stage.reuse_build``),
+bit-exact with the direct route.  ``REPRO_VERIFY_REUSE=1`` re-checks
+that fold against a one-shot refold (``reuse.parity_checks`` /
+``reuse.parity_failures``) and raises :class:`repro.errors.TraceError`
+on divergence.
 
-The paper's evaluation grid therefore regenerates the same trace up to six
+Uncached, the paper's evaluation grid regenerates the same trace up to six
 times per cell (three placements x two iterations) and re-solves the same
 working-set model each time.  :class:`TraceCache` computes each artifact
 once per content key and serves the rest from memory, which is where most
@@ -69,30 +67,17 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from repro.errors import TraceError
 from repro.faults.injector import active_injector, fault_point
 from repro.faults.plan import SITE_CACHE_CORRUPT
-from repro.mem.cache import LINE_SIZE, VERIFY_REUSE_ENV
 from repro.mem.trace import AccessTrace, worker_byte_budget
 from repro.obs.metrics import process_metrics
 from repro.obs.tracer import span
 from repro.sim.profilepack import TraceProfile, build_profile
-from repro.sim.reusepack import (
-    ReuseProfile,
-    build_reuse_profile,
-    derivable,
-    fold_reuse_chunks,
-)
+from repro.sim.reusepack import derivable, fold_reuse_chunks
 from repro.sim.tracestore import TraceStore, process_trace_store
 
 #: Environment variable overriding the trace-entry bound (0 disables).
 CACHE_SIZE_ENV = "REPRO_TRACE_CACHE"
-
-#: When truthy, every reuse-derived hit mask is re-computed by the
-#: direct ``llc.hit_mask`` simulation and the two must be bit-identical
-#: (the mask parity oracle; see REPRO_VERIFY_PROFILE for its pricing
-#: counterpart).
-VERIFY_MASK_ENV = "REPRO_VERIFY_MASK"
 
 #: Default number of distinct traces kept alive per process.
 DEFAULT_MAX_TRACES = 8
@@ -147,7 +132,8 @@ def _over_budget(trace) -> bool:
 
     True when doubling the trace with a flat ``all_addresses`` copy
     would spend more than a quarter of ``REPRO_WORKER_BYTES`` — the
-    signal to switch every fold onto the chunked streaming path.
+    signal to switch checksums and working-set masks onto the chunked
+    streaming path.
     """
     if not isinstance(trace, AccessTrace):
         return False
@@ -174,11 +160,6 @@ class TraceCacheStats:
     mask_misses: int = 0
     profile_hits: int = 0
     profile_misses: int = 0
-    reuse_hits: int = 0
-    reuse_misses: int = 0
-    #: Reuse misses served by extending a prior phase's profile (only the
-    #: phase delta was folded, not the whole stream).
-    reuse_extends: int = 0
     evictions: int = 0
     #: Corrupted / shape-mismatched entries dropped and recomputed.
     corruption_discards: int = 0
@@ -188,8 +169,6 @@ class TraceCacheStats:
     store_mask_hits: int = 0
     #: Profile misses served from the persistent store (no fold).
     store_profile_hits: int = 0
-    #: Reuse-profile misses served from the persistent store (no fold).
-    store_reuse_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -199,15 +178,11 @@ class TraceCacheStats:
             "mask_misses": self.mask_misses,
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
-            "reuse_hits": self.reuse_hits,
-            "reuse_misses": self.reuse_misses,
-            "reuse_extends": self.reuse_extends,
             "evictions": self.evictions,
             "corruption_discards": self.corruption_discards,
             "store_trace_hits": self.store_trace_hits,
             "store_mask_hits": self.store_mask_hits,
             "store_profile_hits": self.store_profile_hits,
-            "store_reuse_hits": self.store_reuse_hits,
         }
 
 
@@ -221,12 +196,11 @@ class _TraceEntry:
     """A cached trace plus the checksum it must keep matching.
 
     ``flat`` is the program-order address array, materialised once at
-    insertion and shared by every fold over the trace (checksum, hit
-    masks, reuse profiles) — previously each ``llc_sig`` of the same
-    trace re-derived it.  For traces whose flat copy would blow the
+    insertion and shared by every fold over the trace (checksum and hit
+    masks).  For traces whose flat copy would blow the
     ``REPRO_WORKER_BYTES`` budget it stays ``None``: the checksum is
-    folded chunk-by-chunk at insertion and every fold takes the chunked
-    streaming path instead.
+    folded chunk-by-chunk at insertion and working-set masks take the
+    chunked streaming path instead.
     """
 
     trace: AccessTrace
@@ -263,7 +237,6 @@ class TraceCache:
         self._traces: OrderedDict[Hashable, _TraceEntry] = OrderedDict()
         self._masks: dict[Hashable, dict[tuple, np.ndarray]] = {}
         self._profiles: dict[Hashable, dict[tuple, TraceProfile]] = {}
-        self._reuse: dict[Hashable, dict[int, ReuseProfile]] = {}
         self.stats = TraceCacheStats()
 
     @property
@@ -278,7 +251,6 @@ class TraceCache:
         self._traces.pop(key, None)
         self._masks.pop(key, None)
         self._profiles.pop(key, None)
-        self._reuse.pop(key, None)
         self.stats.corruption_discards += 1
         _count("corruption_discards")
 
@@ -392,12 +364,10 @@ class TraceCache:
         )
         self._masks.setdefault(key, {})
         self._profiles.setdefault(key, {})
-        self._reuse.setdefault(key, {})
         while len(self._traces) > self.max_traces:
             evicted, _ = self._traces.popitem(last=False)
             self._masks.pop(evicted, None)
             self._profiles.pop(evicted, None)
-            self._reuse.pop(evicted, None)
             self.stats.evictions += 1
             _count("evictions")
         return trace
@@ -410,13 +380,11 @@ class TraceCache:
         sizes) gets independent masks.  A cached mask whose shape does not
         match the trace is treated as corrupt and recomputed.
 
-        For a plain :class:`~repro.mem.cache.WorkingSetCache` the mask is
-        *derived* from the trace's reuse profile (one O(log N) window
-        solve plus one compare, ``stage.mask_derive``) instead of
-        re-running the O(N log N) direct fold — a capacity sweep pays the
-        fold once (``stage.reuse_build``) and derives every geometry from
-        it.  Other cache models, or traces the profile cannot describe,
-        take the direct ``stage.hit_mask`` path unchanged.
+        The mask is the direct ``llc.hit_mask`` over the trace's flat
+        address array (``stage.hit_mask``).  A working-set mask of a trace
+        over the worker budget instead comes from the chunked streaming
+        reuse fold (``stage.reuse_build``), which never materialises the
+        flat copy.
         """
         llc_sig = llc_signature(llc)
         expected = getattr(trace, "total_accesses", None)
@@ -448,21 +416,20 @@ class TraceCache:
                 self.stats.store_mask_hits += 1
                 _count("store_mask_hits")
         if mask is None:
-            if derivable(llc) and expected is not None:
-                profile = self.reuse_profile(key, trace, llc.line_size)
-                started = time.perf_counter()
-                with span("cache.derive_mask", cat="cache", key=str(key)):
+            started = time.perf_counter()
+            if derivable(llc) and _over_budget(trace):
+                with span("cache.build_reuse", cat="cache", key=str(key)):
+                    profile = fold_reuse_chunks(
+                        trace.iter_chunks(_fold_chunk_bytes()), llc.line_size
+                    )
                     mask = profile.hit_mask_for(llc)
-                fold_seconds = time.perf_counter() - started
-                process_metrics().observe("stage.mask_derive", fold_seconds)
-                if os.environ.get(VERIFY_MASK_ENV):
-                    self._verify_mask(key, llc, trace, mask)
+                stage = "stage.reuse_build"
             else:
-                started = time.perf_counter()
                 with span("cache.build_mask", cat="cache", key=str(key)):
                     mask = llc.hit_mask(self._flat_addrs(key, trace))
-                fold_seconds = time.perf_counter() - started
-                process_metrics().observe("stage.hit_mask", fold_seconds)
+                stage = "stage.hit_mask"
+            fold_seconds = time.perf_counter() - started
+            process_metrics().observe(stage, fold_seconds)
             # Masks persist on their own merit — the trace may legitimately
             # be absent (the write policy can skip huge trace payloads while
             # the 8x-packed mask is still a bargain).
@@ -473,180 +440,6 @@ class TraceCache:
         if masks is not None:
             masks[llc_sig] = mask
         return mask
-
-    def reuse_profile(
-        self,
-        key: Hashable,
-        trace: AccessTrace,
-        line_size: int = LINE_SIZE,
-        extend_from: Hashable | None = None,
-    ) -> ReuseProfile:
-        """The compiled reuse profile of ``trace``, folded once.
-
-        Fourth artifact of the lattice (see :mod:`repro.sim.reusepack`):
-        keyed by the **trace key and line granularity only** — reuse gaps
-        are LLC-size-independent, so one profile serves every capacity of
-        a sweep.  A cached or stored profile that no longer describes the
-        trace is discarded and rebuilt, mirroring the mask shape guard.
-
-        ``extend_from`` names a prior key whose trace is a **prefix** of
-        this one (the multi-tenant host's phase chain guarantees it): if
-        that profile is cached and carries fold state, only the suffix is
-        folded (``stage.reuse_extend``, ``reuse_extends``) instead of the
-        whole stream.  ``REPRO_VERIFY_REUSE=1`` re-runs the full refold
-        as a parity oracle after every extension and raises on
-        divergence.
-        """
-        expected = getattr(trace, "total_accesses", None)
-        line_size = int(line_size)
-        cache = self._reuse.get(key) if self.max_traces != 0 else None
-        if cache is not None:
-            cached = cache.get(line_size)
-            if (
-                cached is not None
-                and expected is not None
-                and cached.n != expected
-            ):
-                cache.pop(line_size, None)
-                self.stats.corruption_discards += 1
-                _count("corruption_discards")
-                cached = None
-            if cached is not None:
-                self.stats.reuse_hits += 1
-                _count("reuse_hits")
-                return cached
-        self.stats.reuse_misses += 1
-        _count("reuse_misses")
-        profile = None
-        store = self.store
-        if store is not None and expected is not None:
-            profile = store.load_reuse(key, line_size, expected)
-            if profile is not None:
-                self.stats.store_reuse_hits += 1
-                _count("store_reuse_hits")
-        if profile is None:
-            if store is None:
-                profile = self._fold_reuse(
-                    key, extend_from, trace, line_size, expected
-                )
-            else:
-                # Store-cold fold: single-flight so concurrent workers
-                # never fold (and persist) the same reuse curve twice.
-                with store.single_flight(
-                    key,
-                    f"reuse-{line_size}",
-                    done=lambda: store.has_reuse(key, line_size),
-                ) as winner:
-                    if not winner and expected is not None:
-                        profile = store.load_reuse(key, line_size, expected)
-                        if profile is not None:
-                            self.stats.store_reuse_hits += 1
-                            _count("store_reuse_hits")
-                    if profile is None:
-                        started = time.perf_counter()
-                        profile = self._fold_reuse(
-                            key, extend_from, trace, line_size, expected
-                        )
-                        fold_seconds = time.perf_counter() - started
-                        store.heartbeat_lease(key, f"reuse-{line_size}")
-                        # v2 artifact is float64 [4, n + 1].
-                        if store.should_persist(
-                            32 * (profile.n + 1), fold_seconds
-                        ):
-                            store.save_reuse(key, line_size, profile)
-        if cache is not None:
-            cache[line_size] = profile
-        return profile
-
-    def _fold_reuse(
-        self,
-        key: Hashable,
-        extend_from: Hashable | None,
-        trace: AccessTrace,
-        line_size: int,
-        expected: int | None,
-    ) -> ReuseProfile:
-        """Fold a reuse profile — incrementally when a base qualifies."""
-        base = None
-        if extend_from is not None and self.max_traces != 0:
-            base = (self._reuse.get(extend_from) or {}).get(line_size)
-        if (
-            base is not None
-            and base.can_extend
-            and expected is not None
-            and base.n <= expected
-        ):
-            flat = self._flat_addrs(key, trace)
-            started = time.perf_counter()
-            with span("cache.extend_reuse", cat="cache", key=str(key)):
-                profile = base.extend(flat[base.n :])
-            process_metrics().observe(
-                "stage.reuse_extend", time.perf_counter() - started
-            )
-            self.stats.reuse_extends += 1
-            _count("reuse_extends")
-            if os.environ.get(VERIFY_REUSE_ENV):
-                self._verify_reuse(key, trace, line_size, profile)
-            return profile
-        started = time.perf_counter()
-        if _over_budget(trace):
-            # Streaming fold: seed on the first chunk, extend per chunk —
-            # bit-identical to the one-shot fold (extend's contract, and
-            # REPRO_VERIFY_REUSE re-proves it below), without the flat
-            # all_addresses copy the worker budget forbids.
-            with span("cache.build_reuse", cat="cache", key=str(key)):
-                profile = fold_reuse_chunks(
-                    trace.iter_chunks(_fold_chunk_bytes()), line_size
-                )
-            process_metrics().observe(
-                "stage.reuse_build", time.perf_counter() - started
-            )
-            if os.environ.get(VERIFY_REUSE_ENV):
-                self._verify_reuse(key, trace, line_size, profile)
-            return profile
-        with span("cache.build_reuse", cat="cache", key=str(key)):
-            profile = build_reuse_profile(
-                self._flat_addrs(key, trace), line_size
-            )
-        process_metrics().observe(
-            "stage.reuse_build", time.perf_counter() - started
-        )
-        return profile
-
-    def _verify_reuse(
-        self, key: Hashable, trace: AccessTrace, line_size: int, extended
-    ) -> None:
-        """The extend parity oracle: a full refold must agree bit-for-bit."""
-        registry = process_metrics()
-        registry.inc("reuse.parity_checks")
-        with span("cache.verify_reuse", cat="cache", key=str(key)):
-            direct = build_reuse_profile(
-                self._flat_addrs(key, trace), line_size, with_state=False
-            )
-        if not (
-            np.array_equal(extended.gaps, direct.gaps)
-            and np.array_equal(extended.sorted_gaps, direct.sorted_gaps)
-        ):
-            registry.inc("reuse.parity_failures")
-            raise TraceError(
-                "incrementally extended reuse profile diverged from the "
-                f"full refold for key {key!r}"
-            )
-
-    def _verify_mask(self, key: Hashable, llc, trace: AccessTrace, derived) -> None:
-        """The mask parity oracle: the direct fold must agree bit-for-bit."""
-        registry = process_metrics()
-        registry.inc("mask.parity_checks")
-        with span("cache.verify_mask", cat="cache", key=str(key)):
-            direct = llc.hit_mask(self._flat_addrs(key, trace))
-        if derived.shape != direct.shape or not np.array_equal(derived, direct):
-            registry.inc("mask.parity_failures")
-            raise TraceError(
-                "reuse-derived hit mask diverged from the direct "
-                f"simulation for {llc_signature(llc)}: "
-                f"{int(np.count_nonzero(derived))} vs "
-                f"{int(np.count_nonzero(direct))} hits"
-            )
 
     def profile(
         self, key: Hashable, llc, trace: AccessTrace, hits: np.ndarray
@@ -714,7 +507,6 @@ class TraceCache:
         self._traces.clear()
         self._masks.clear()
         self._profiles.clear()
-        self._reuse.clear()
 
 
 def _corrupt_trace(trace: AccessTrace) -> None:

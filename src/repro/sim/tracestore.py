@@ -14,15 +14,13 @@ everything from scratch.  :class:`TraceStore` closes that gap:
       <root>/<digest>/trace.json       manifest: key, CRC32, phase table
       <root>/<digest>/mask-<llc>.npy   np.packbits-packed hit mask, one LLC
       <root>/<digest>/mask-<llc>.json  sidecar: llc signature, CRC32, length
-      <root>/<digest>/reuse-<sig>.npy  float64 [4, n+1] gap rows + window curve
-      <root>/<digest>/reuse-<sig>.json sidecar: line size, CRC32, length
+      <root>/<digest>/profile-<llc>.npy  int64 [2, nnz] compiled miss profile
+      <root>/<digest>/profile-<llc>.json sidecar: llc signature, CRC32, phase table
 
   Hit masks are stored bit-packed (``np.packbits``, 8x smaller than raw
   bool) and unpacked transparently on load; the sidecar's
   ``mask_format`` stamp rejects pre-packing entries, which are rebuilt
-  rather than migrated.  Reuse profiles (:mod:`repro.sim.reusepack`)
-  are keyed by the trace and the *line size* only — one entry serves
-  every LLC capacity.
+  rather than migrated.
 
   Arrays are plain ``.npy`` so they load with ``np.load(mmap_mode="r")``:
   every worker maps the *same* page-cache pages read-only — zero copies,
@@ -100,12 +98,6 @@ from repro.sim.profilepack import (
     TraceProfile,
     profile_from_columnar,
     profile_to_columnar,
-)
-from repro.sim.reusepack import (
-    REUSE_FORMAT,
-    ReuseProfile,
-    reuse_from_columnar,
-    reuse_to_columnar,
 )
 
 FORMAT_VERSION = 1
@@ -244,8 +236,6 @@ class TraceStoreStats:
     mask_saves: int = 0
     profile_loads: int = 0
     profile_saves: int = 0
-    reuse_loads: int = 0
-    reuse_saves: int = 0
     #: Entries dropped because they failed CRC / shape / format checks.
     rejects: int = 0
     #: Single-flight leases won / waited-on / adopted-after-wait /
@@ -265,8 +255,6 @@ class TraceStoreStats:
             "mask_saves": self.mask_saves,
             "profile_loads": self.profile_loads,
             "profile_saves": self.profile_saves,
-            "reuse_loads": self.reuse_loads,
-            "reuse_saves": self.reuse_saves,
             "rejects": self.rejects,
             "lease_acquires": self.lease_acquires,
             "lease_waits": self.lease_waits,
@@ -304,12 +292,6 @@ class TraceStore:
         entry = self.entry_dir(key)
         return entry / f"{stem}.npy", entry / f"{stem}.json"
 
-    def _reuse_paths(self, key: Hashable, line_size: int) -> tuple[Path, Path]:
-        # Keyed by line granularity only — capacity-independent by design.
-        stem = f"reuse-{llc_digest(('reuse', int(line_size)))}"
-        entry = self.entry_dir(key)
-        return entry / f"{stem}.npy", entry / f"{stem}.json"
-
     # ------------------------------------------------------------------
     # write policy
     # ------------------------------------------------------------------
@@ -340,7 +322,7 @@ class TraceStore:
 
         Writes and fsyncs 4 MiB under the store root, feeds the timing
         to the policy EWMA, and deletes the file.  Costs well under a
-        second even on a saturated disk; letting a ~190 MB reuse fold
+        second even on a saturated disk; letting a ~190 MB trace write
         be the blind first sample instead can cost tens of seconds of
         writeback on a shared host.  Probe failures (read-only root,
         quota) leave the policy in its admit-blind fallback.
@@ -833,91 +815,6 @@ class TraceStore:
             return self._reject_files(array_path, sidecar_path, "profile")
         self.stats.profile_loads += 1
         process_metrics().inc("store.profile_loads")
-        touch_entry(array_path.parent)
-        return profile
-
-    # ------------------------------------------------------------------
-    # reuse profiles
-    # ------------------------------------------------------------------
-    def has_reuse(self, key: Hashable, line_size: int) -> bool:
-        return self._reuse_paths(key, line_size)[1].exists()
-
-    def save_reuse(
-        self, key: Hashable, line_size: int, profile: ReuseProfile
-    ) -> bool:
-        """Persist one trace's compiled reuse profile.
-
-        Artifact v2: the gap rows (int64 bit patterns) and the
-        pre-computed window curve land as one ``float64 [4, n + 1]``
-        array (see :func:`repro.sim.reusepack.reuse_to_columnar`,
-        mmap-shareable like traces); the line granularity, length and
-        ``reuse_format`` stamp ride in the JSON sidecar together with
-        the array CRC.  One entry per (trace, line size) serves every
-        LLC capacity, with zero per-process float work at load.
-        """
-        array_path, sidecar_path = self._reuse_paths(key, line_size)
-        if sidecar_path.exists():
-            return False
-        stacked, record = reuse_to_columnar(profile)
-        sidecar = {
-            "format": FORMAT_VERSION,
-            "crc32": _crc32(stacked),
-            **record,
-        }
-        try:
-            array_path.parent.mkdir(parents=True, exist_ok=True)
-            self._commit_array(
-                array_path, stacked, tag=f"{array_path.parent.name}/reuse"
-            )
-            self._commit_json(sidecar_path, sidecar)
-        except OSError:
-            return False
-        self.stats.reuse_saves += 1
-        process_metrics().inc("store.reuse_saves")
-        enforce_cache_budget(protect={array_path.parent})
-        return True
-
-    def load_reuse(
-        self, key: Hashable, line_size: int, expected_len: int
-    ) -> ReuseProfile | None:
-        """The stored reuse profile (gap rows as mmap views), or ``None``.
-
-        ``expected_len`` is the access count of the trace the caller is
-        about to derive masks for; a profile of a different length is
-        stale and rejected like any corrupt entry.  So is a pre-curve v1
-        entry (``reuse_format`` below :data:`~repro.sim.reusepack.
-        REUSE_FORMAT`, or the old ``int64 [2, n]`` array shape) — v1 is
-        rebuilt, never migrated.
-        """
-        array_path, sidecar_path = self._reuse_paths(key, line_size)
-        sidecar = self._read_json(sidecar_path)
-        if sidecar is None:
-            return None
-        try:
-            stale = (
-                sidecar.get("format") != FORMAT_VERSION
-                or int(sidecar.get("reuse_format", -1)) != REUSE_FORMAT
-                or int(sidecar.get("line_size", -1)) != int(line_size)
-                or int(sidecar.get("n", -1)) != expected_len
-            )
-        except (TypeError, ValueError):
-            stale = True
-        if stale:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        stacked = self._load_array(
-            array_path,
-            dtype=np.float64,
-            shape=(4, expected_len + 1),
-            crc32=sidecar.get("crc32"),
-        )
-        if stacked is None:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        try:
-            profile = reuse_from_columnar(stacked, sidecar)
-        except TraceError:
-            return self._reject_files(array_path, sidecar_path, "reuse")
-        self.stats.reuse_loads += 1
-        process_metrics().inc("store.reuse_loads")
         touch_entry(array_path.parent)
         return profile
 

@@ -21,25 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.mem.cache import LINE_SIZE, VERIFY_REUSE_ENV
+from repro.mem.cache import LINE_SIZE, VERIFY_REUSE_ENV, WorkingSetCache
 from repro.mem.trace import (
     WORKER_BYTES_ENV,
     AccessKind,
     AccessTrace,
     worker_byte_budget,
 )
+from repro.obs.metrics import process_metrics
 from repro.sim.executor import VERIFY_PROFILE_ENV
-from repro.sim.reusepack import (
-    build_reuse_profile,
-    fold_reuse_chunks,
-    reuse_to_columnar,
-)
-from repro.sim.tracecache import (
-    VERIFY_MASK_ENV,
-    TraceCache,
-    _chunked_checksum,
-    trace_checksum,
-)
+from repro.sim.reusepack import build_reuse_profile, fold_reuse_chunks
+from repro.sim.tracecache import TraceCache, _chunked_checksum, trace_checksum
 
 
 def make_trace(phase_sizes, seed=7) -> AccessTrace:
@@ -62,12 +54,12 @@ chunk_budgets = st.sampled_from((8, 16, 24, 72, 1 << 10, 1 << 20))
 
 
 def same_profile(a, b) -> bool:
-    """Bit-exact reuse-profile equality via the columnar serial form."""
-    cols_a, meta_a = reuse_to_columnar(a)
-    cols_b, meta_b = reuse_to_columnar(b)
-    # tobytes, not array_equal: the columnar form uses NaN sentinels for
-    # never-reused lines, and bit-exact means NaN == NaN here.
-    return meta_a == meta_b and cols_a.tobytes() == cols_b.tobytes()
+    """Bit-exact reuse-profile equality: line size plus both gap rows."""
+    return (
+        a.line_size == b.line_size
+        and a.gaps.tobytes() == b.gaps.tobytes()
+        and a.sorted_gaps.tobytes() == b.sorted_gaps.tobytes()
+    )
 
 
 class TestIterChunks:
@@ -172,36 +164,69 @@ class TestStreamedStoreWrites:
         assert np.array_equal(raw, trace.all_addresses())
 
 
+def _smoke_spec():
+    from repro.config import nvm_dram_testbed
+    from repro.faults.chaos import TINY_SCALE
+    from repro.sim.parallel import AppSpec, JobSpec
+
+    return JobSpec(
+        app=AppSpec.make("PR", "twitter", scale=TINY_SCALE),
+        platform=nvm_dram_testbed(scale=512),
+        flow="cell",
+        placement="fast",
+    )
+
+
 class TestAppLevelParity:
     def test_starved_budget_matches_unconstrained_run(self, monkeypatch):
         """End to end: chunked folds under a tiny budget change nothing.
 
         ``REPRO_WORKER_BYTES`` small enough that every bench-relevant
         trace is over budget forces the no-flat insertion path, chunked
-        checksums, and chunked reuse folds; the armed verify oracles
-        additionally cross-check every mask and reuse fold against the
-        one-shot path inside the cache itself.
+        checksums, and streamed working-set masks; the armed verify
+        oracles additionally cross-check every streamed reuse fold
+        against the one-shot refold inside the cache itself.
         """
-        from repro.config import nvm_dram_testbed
-        from repro.faults.chaos import TINY_SCALE, committed_figures
-        from repro.sim.parallel import AppSpec, JobSpec, execute_job
+        from repro.faults.chaos import committed_figures
+        from repro.sim.parallel import execute_job
 
-        spec = JobSpec(
-            app=AppSpec.make("PR", "twitter", scale=TINY_SCALE),
-            platform=nvm_dram_testbed(scale=512),
-            flow="cell",
-            placement="fast",
-        )
+        spec = _smoke_spec()
         monkeypatch.delenv(WORKER_BYTES_ENV, raising=False)
         reference = committed_figures(
             execute_job(spec, trace_cache=TraceCache(store=None))
         )
         monkeypatch.setenv(WORKER_BYTES_ENV, "4096")
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
         monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
         monkeypatch.setenv(VERIFY_PROFILE_ENV, "1")
         assert worker_byte_budget() == 4096
+        counters = process_metrics().counters
+        checks = counters.get("reuse.parity_checks", 0.0)
+        failures = counters.get("reuse.parity_failures", 0.0)
         starved = committed_figures(
             execute_job(spec, trace_cache=TraceCache(store=None))
         )
         assert starved == reference
+        assert counters["reuse.parity_checks"] > checks
+        assert counters.get("reuse.parity_failures", 0.0) == failures
+
+    @pytest.mark.parametrize("size_bytes", (16 << 10, 32 << 10, 64 << 10))
+    def test_starved_budget_streams_direct_masks(self, monkeypatch, size_bytes):
+        """The streamed mask of an app trace equals the direct one."""
+        from repro.sim.parallel import _registered_app
+
+        app, _ = _registered_app(_smoke_spec())
+        trace = app.run_once()
+        llc = WorkingSetCache(size_bytes)
+        direct = llc.hit_mask(trace.all_addresses())
+        monkeypatch.setenv(WORKER_BYTES_ENV, "4096")
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        failures = process_metrics().counters.get("reuse.parity_failures", 0.0)
+        cache = TraceCache(store=None)
+        cached = cache.trace("smoke", lambda: trace)
+        np.testing.assert_array_equal(
+            cache.hit_mask("smoke", llc, cached), direct
+        )
+        assert (
+            process_metrics().counters.get("reuse.parity_failures", 0.0)
+            == failures
+        )

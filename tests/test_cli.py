@@ -2,7 +2,19 @@
 
 import pytest
 
+from repro.bench import report
 from repro.cli import build_parser, main
+from repro.obs.metrics import METRICS_PATH_ENV
+
+
+@pytest.fixture(autouse=True)
+def _outputs_in_tmp(tmp_path, monkeypatch):
+    """Keep every command's metrics snapshot and artifacts out of the checkout."""
+    monkeypatch.setenv(METRICS_PATH_ENV, str(tmp_path / "metrics.json"))
+    # emit() resolves benchmarks/results from its module's __file__.
+    monkeypatch.setattr(
+        report, "__file__", str(tmp_path / "src" / "repro" / "bench" / "report.py")
+    )
 
 
 class TestParser:
@@ -67,7 +79,7 @@ class TestCommands:
 
 
 class TestReproduceCommand:
-    def test_reproduce_single_experiment(self, capsys, monkeypatch):
+    def test_reproduce_single_experiment(self, capsys, monkeypatch, tmp_path):
         import repro.bench.workloads as workloads_mod
 
         monkeypatch.setattr(workloads_mod, "_OVERALL_CACHE", {})
@@ -76,6 +88,9 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert "regenerated 1 experiment(s)" in out
+        results = tmp_path / "benchmarks" / "results"
+        assert (results / "table3.txt").exists()
+        assert (results / "json" / "table3.json").exists()
 
     def test_reproduce_unknown_experiment(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
@@ -91,15 +106,13 @@ class TestReproduceCommand:
 
 class TestObservabilityCommands:
     @pytest.fixture(autouse=True)
-    def _obs_env(self, tmp_path, monkeypatch):
+    def _obs_env(self, monkeypatch):
         from repro.obs import reset_all
-        from repro.obs.metrics import METRICS_PATH_ENV
         from repro.obs.tracer import TRACE_ENV
 
         # "0" disables tracing but lets monkeypatch restore the original
         # value even after main() overwrites it via --trace.
         monkeypatch.setenv(TRACE_ENV, "0")
-        monkeypatch.setenv(METRICS_PATH_ENV, str(tmp_path / "metrics.json"))
         reset_all()
         yield
         reset_all()

@@ -189,7 +189,7 @@ class TestPhases:
             t1.all_addresses()[:n0], t0.all_addresses()
         )
 
-    def test_phase_change_profiles_extend_incrementally(self, graphs):
+    def test_phase_change_profiles_cache_each_phase(self, graphs):
         from repro.sim.tracecache import TraceCache
 
         cache = TraceCache(max_traces=8)
@@ -200,11 +200,12 @@ class TestPhases:
 
         factory.trace_key = lambda: ("pr", "tenant-a")
         host.admit("a", factory)
-        host.profile_tenant("a")
-        assert cache.stats.reuse_extends == 0
-        host.phase_change("a")
-        host.profile_tenant("a")
-        assert cache.stats.reuse_extends == 1
-        host.phase_change("a")
-        host.profile_tenant("a")
-        assert cache.stats.reuse_extends == 2
+        for phase in range(3):
+            if phase:
+                host.phase_change("a")
+            (trace, hits), _ = host.profile_tenant("a")
+            np.testing.assert_array_equal(
+                hits, host.system.llc.hit_mask(trace.all_addresses())
+            )
+            assert cache.stats.trace_misses == phase + 1
+            assert cache.stats.mask_misses == phase + 1

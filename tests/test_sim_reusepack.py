@@ -1,9 +1,10 @@
-"""Compiled reuse profiles: parity, monotonicity, serialisation.
+"""Reuse profiles: parity, monotonicity, incremental extension.
 
 The contract under test is bit-exactness: a mask derived from a
 :class:`ReuseProfile` must be indistinguishable from the direct
 :meth:`WorkingSetCache.hit_mask` fold for *every* LLC geometry, because
-the figure suite silently swaps one for the other.  The exact
+the trace cache swaps one for the other on traces over the worker
+budget.  The exact
 stack-distance model anchors the approximation on small traces, and
 capacity monotonicity pins the working-set model's one structural
 guarantee: growing the cache never loses a hit.
@@ -22,14 +23,7 @@ from repro.mem.cache import (
     WorkingSetCache,
 )
 from repro.mem.stack_distance import COLD, lru_hit_mask, stack_distances
-from repro.sim.reusepack import (
-    REUSE_FORMAT,
-    build_reuse_profile,
-    derivable,
-    reuse_from_columnar,
-    reuse_to_columnar,
-    validate_reuse,
-)
+from repro.sim.reusepack import build_reuse_profile, derivable
 
 #: Every working-set LLC size the figure suite instantiates
 #: (mcdram_dram 16 KB, nvm_dram 32 KB, hbm_dram 64 KB) plus the
@@ -111,7 +105,6 @@ class TestMaskParity:
     def test_empty_trace(self):
         profile = build_reuse_profile(np.empty(0, dtype=np.int64))
         assert profile.hit_mask(16).size == 0
-        assert profile.miss_ratio(16) == 0.0
 
     def test_single_access(self):
         profile = build_reuse_profile(np.array([64], dtype=np.int64))
@@ -134,11 +127,6 @@ class TestCapacityMonotonicity:
             if previous is not None:
                 assert bool(np.all(mask[previous]))
             previous = mask
-
-    def test_miss_ratio_is_non_increasing(self):
-        profile = build_reuse_profile(mixed_trace(seed=5))
-        curve = profile.miss_ratio_curve([s // LINE_SIZE for s in SWEEP_BYTES])
-        assert np.all(np.diff(curve) <= 1e-12)
 
 
 class TestExactModelAgreement:
@@ -172,89 +160,6 @@ class TestExactModelAgreement:
         approx = int(np.count_nonzero(~profile.hit_mask(capacity)))
         exact = int(np.count_nonzero(~lru_hit_mask(addrs, capacity)))
         assert approx == pytest.approx(exact, rel=0.35)
-
-
-class TestMissRatio:
-    def test_miss_ratio_matches_mask_counts(self):
-        addrs = mixed_trace(seed=19)
-        profile = build_reuse_profile(addrs)
-        for size in SWEEP_BYTES:
-            capacity = size // LINE_SIZE
-            mask = profile.hit_mask(capacity)
-            want = 1.0 - np.count_nonzero(mask) / mask.size
-            assert profile.miss_ratio(capacity) == pytest.approx(
-                want, abs=1e-12
-            ), size
-
-
-class TestColumnar:
-    def test_roundtrip(self):
-        profile = build_reuse_profile(mixed_trace(seed=23, n=2_000))
-        stacked, record = reuse_to_columnar(profile)
-        rebuilt = reuse_from_columnar(stacked, record)
-        np.testing.assert_array_equal(rebuilt.gaps, profile.gaps)
-        np.testing.assert_array_equal(rebuilt.sorted_gaps, profile.sorted_gaps)
-        assert rebuilt.line_size == profile.line_size
-        llc = WorkingSetCache(32 << 10)
-        np.testing.assert_array_equal(
-            rebuilt.hit_mask_for(llc), profile.hit_mask_for(llc)
-        )
-
-    def test_format_mismatch_rejected(self):
-        stacked, record = reuse_to_columnar(build_reuse_profile(mixed_trace(n=64)))
-        record["reuse_format"] = REUSE_FORMAT + 1
-        with pytest.raises(TraceError):
-            reuse_from_columnar(stacked, record)
-
-    def test_shape_mismatch_rejected(self):
-        stacked, record = reuse_to_columnar(build_reuse_profile(mixed_trace(n=64)))
-        with pytest.raises(TraceError):
-            reuse_from_columnar(stacked[:, :-1], record)
-
-    def test_swapped_rows_rejected(self):
-        profile = build_reuse_profile(mixed_trace(n=512))
-        stacked, record = reuse_to_columnar(profile)
-        with pytest.raises(TraceError):
-            reuse_from_columnar(stacked[::-1], record)
-
-    def test_zero_gap_rejected(self):
-        profile = build_reuse_profile(mixed_trace(n=512))
-        stacked, record = reuse_to_columnar(profile)
-        bad = stacked.copy()
-        bad[1, 0] = 0
-        bad[0, int(np.argmin(profile.gaps))] = 0
-        with pytest.raises(TraceError):
-            reuse_from_columnar(bad, record)
-
-    def test_validate_accepts_built_profiles(self):
-        validate_reuse(build_reuse_profile(mixed_trace(n=1_000)))
-        validate_reuse(build_reuse_profile(np.empty(0, dtype=np.int64)))
-
-    def test_loaded_profile_has_curve_attached_and_no_fold_state(self):
-        profile = build_reuse_profile(mixed_trace(seed=11, n=1_500))
-        rebuilt = reuse_from_columnar(*reuse_to_columnar(profile))
-        # The persisted curve arrives pre-computed: window() must not
-        # re-derive anything.
-        assert rebuilt._f_at_gap is not None and rebuilt._prefix is not None
-        assert rebuilt.window(256) == profile.window(256)
-        # Fold state is in-process only; loaded profiles cannot extend.
-        assert not rebuilt.can_extend
-        with pytest.raises(TraceError, match="no fold state"):
-            rebuilt.extend(np.array([0], dtype=np.int64))
-
-    def test_empty_profile_roundtrip(self):
-        profile = build_reuse_profile(np.empty(0, dtype=np.int64))
-        rebuilt = reuse_from_columnar(*reuse_to_columnar(profile))
-        assert rebuilt.n == 0
-        assert rebuilt.hit_mask(64).size == 0
-
-    def test_curve_endpoint_mismatch_rejected(self):
-        profile = build_reuse_profile(mixed_trace(n=512))
-        stacked, record = reuse_to_columnar(profile)
-        bad = stacked.copy()
-        bad[2, -1] = 0.0  # prefix[n] no longer matches f(g_last)
-        with pytest.raises(TraceError, match="curve"):
-            reuse_from_columnar(bad, record)
 
 
 class TestExtend:

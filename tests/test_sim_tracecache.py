@@ -7,18 +7,18 @@ from repro.apps import make_app
 from repro.config import nvm_dram_testbed
 from repro.errors import TraceError
 from repro.graph.generators import chung_lu_graph
-from repro.mem.cache import GAP_COLD, WorkingSetCache
+from repro.mem.cache import VERIFY_REUSE_ENV, WorkingSetCache
+from repro.mem.trace import WORKER_BYTES_ENV, AccessTrace
 from repro.obs.metrics import process_metrics
 from repro.sim.experiment import run_atmem, run_static
-from repro.sim.reusepack import build_reuse_profile
+from repro.sim.reusepack import ReuseProfile
 from repro.sim.tracecache import (
     DEFAULT_MAX_TRACES,
-    VERIFY_MASK_ENV,
-    VERIFY_REUSE_ENV,
     TraceCache,
     configured_max_traces,
     process_trace_cache,
 )
+from repro.sim.tracestore import TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestTraceAccounting:
 
 
 class _ReuseTrace:
-    """A trace rich enough for the reuse-derivation path."""
+    """A trace rich enough for the working-set mask path."""
 
     def __init__(self, seed=29, n=4_000):
         rng = np.random.default_rng(seed)
@@ -128,10 +128,30 @@ class _ReuseTrace:
         return np.asarray(self.payload, dtype=np.int64)
 
 
-class TestReuseDerivation:
-    """Working-set masks derive from one reuse profile per trace."""
+def _dense_trace(seed=29, n=4_000, phases=4) -> AccessTrace:
+    """An :class:`AccessTrace` dense enough for the chained streaming fold."""
+    rng = np.random.default_rng(seed)
+    trace = AccessTrace()
+    for i in range(phases):
+        trace.add(rng.integers(0, 1 << 16, size=n // phases), label=f"p{i}")
+    return trace
 
-    SWEEP = (16 << 10, 32 << 10, 64 << 10, 128 << 10)
+
+def _stage_count(name: str) -> int:
+    timing = process_metrics().timings.get(name)
+    return timing.count if timing is not None else 0
+
+
+#: Worker budget under which a 4 000-access trace is over budget (its
+#: 32 000-byte flat copy exceeds a quarter of it) and streams in
+#: 1 024-access chunks.
+STARVED_BUDGET = "65536"
+
+
+class TestReuseDerivation:
+    """Working-set masks: direct in budget, streamed above it."""
+
+    SWEEP = (16 << 10, 32 << 10, 64 << 10)
 
     def test_derived_masks_match_direct_simulation(self):
         cache = TraceCache(max_traces=4)
@@ -143,13 +163,20 @@ class TestReuseDerivation:
                 cache.hit_mask("k", llc, trace), llc.hit_mask(addrs)
             )
 
-    def test_profile_folded_once_per_capacity_sweep(self):
-        cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+    def test_in_budget_masks_are_direct_and_persist_no_reuse(self, tmp_path):
+        cache = TraceCache(max_traces=4, store=TraceStore(tmp_path))
+        trace = cache.trace("k", _dense_trace)
+        addrs = trace.all_addresses()
+        folds = _stage_count("stage.reuse_build")
         for size in self.SWEEP:
-            cache.hit_mask("k", WorkingSetCache(size), trace)
-        assert cache.stats.reuse_misses == 1
-        assert cache.stats.reuse_hits == len(self.SWEEP) - 1
+            llc = WorkingSetCache(size)
+            np.testing.assert_array_equal(
+                cache.hit_mask("k", llc, trace), llc.hit_mask(addrs)
+            )
+        assert _stage_count("stage.reuse_build") == folds
+        assert cache.stats.store_mask_hits == 0
+        assert len(list(tmp_path.rglob("mask-*.npy"))) == len(self.SWEEP)
+        assert not list(tmp_path.rglob("reuse-*"))
 
     def test_non_workingset_llc_takes_direct_path(self):
         cache = TraceCache(max_traces=4)
@@ -157,42 +184,57 @@ class TestReuseDerivation:
         trace = cache.trace("k", lambda: _FakeTrace([2, 4, 6]))
         cache.hit_mask("k", llc, trace)
         assert llc.calls == 1
-        assert cache.stats.reuse_misses == 0
 
     def test_parity_oracle_passes_on_honest_masks(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
+        monkeypatch.setenv(WORKER_BYTES_ENV, STARVED_BUDGET)
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
         counters = process_metrics().counters
-        checks = counters.get("mask.parity_checks", 0.0)
-        failures = counters.get("mask.parity_failures", 0.0)
-        cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
+        checks = counters.get("reuse.parity_checks", 0.0)
+        failures = counters.get("reuse.parity_failures", 0.0)
+        folds = _stage_count("stage.reuse_build")
+        cache = TraceCache(max_traces=4, store=None)
+        trace = cache.trace("k", _dense_trace)
+        addrs = trace.all_addresses()
         for size in self.SWEEP:
-            cache.hit_mask("k", WorkingSetCache(size), trace)
-        assert counters["mask.parity_checks"] == checks + len(self.SWEEP)
-        assert counters.get("mask.parity_failures", 0.0) == failures
+            llc = WorkingSetCache(size)
+            np.testing.assert_array_equal(
+                cache.hit_mask("k", llc, trace), llc.hit_mask(addrs)
+            )
+        assert _stage_count("stage.reuse_build") == folds + len(self.SWEEP)
+        assert counters["reuse.parity_checks"] == checks + len(self.SWEEP)
+        assert counters.get("reuse.parity_failures", 0.0) == failures
 
     def test_parity_oracle_raises_on_divergence(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_MASK_ENV, "1")
+        monkeypatch.setenv(WORKER_BYTES_ENV, STARVED_BUDGET)
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        honest = ReuseProfile.extend
+
+        def lying_extend(self, delta):
+            extended = honest(self, delta)
+            extended.gaps[0] = 12_345  # a chunk merge that got one gap wrong
+            return extended
+
+        monkeypatch.setattr(ReuseProfile, "extend", lying_extend)
         counters = process_metrics().counters
-        failures = counters.get("mask.parity_failures", 0.0)
-        cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
-        profile = cache.reuse_profile("k", trace)
-        # Sabotage the cached profile: pretend the hottest reuse is cold.
-        profile.gaps[int(np.argmin(profile.gaps))] = GAP_COLD
+        failures = counters.get("reuse.parity_failures", 0.0)
+        cache = TraceCache(max_traces=4, store=None)
+        trace = cache.trace("k", _dense_trace)
         with pytest.raises(TraceError, match="diverged"):
             cache.hit_mask("k", WorkingSetCache(32 << 10), trace)
-        assert counters["mask.parity_failures"] == failures + 1
+        assert counters["reuse.parity_failures"] == failures + 1
 
     def test_stale_profile_discarded_and_rebuilt(self):
-        cache = TraceCache(max_traces=4)
-        trace = cache.trace("k", _ReuseTrace)
-        cache.reuse_profile("k", trace)
-        grown = _ReuseTrace(seed=29, n=5_000)
-        profile = cache.reuse_profile("k", grown)
-        assert profile.n == grown.total_accesses
+        cache = TraceCache(max_traces=4, store=None)
+        llc = WorkingSetCache(32 << 10)
+        trace = cache.trace("k", lambda: _dense_trace(phases=4))
+        cache.profile("k", llc, trace, llc.hit_mask(trace.all_addresses()))
+        grown = _dense_trace(phases=5)
+        profile = cache.profile(
+            "k", llc, grown, llc.hit_mask(grown.all_addresses())
+        )
+        assert profile.matches(grown)
         assert cache.stats.corruption_discards == 1
-        assert cache.stats.reuse_misses == 2
+        assert cache.stats.profile_misses == 2
 
 
 class TestConfiguration:
@@ -239,104 +281,3 @@ class TestCachedRunParity:
         assert cached.data_ratio == plain.data_ratio
         assert cached.migration.bytes_moved == plain.migration.bytes_moved
         assert cache.stats.trace_hits >= 2
-
-
-class _GrownTrace:
-    """A trace whose address stream is a prefix-extension of another."""
-
-    def __init__(self, base: "_ReuseTrace", seed: int = 31, extra: int = 1_000):
-        rng = np.random.default_rng(seed)
-        self.payload = np.concatenate(
-            [base.payload, rng.integers(0, 1 << 20, size=extra)]
-        )
-
-    @property
-    def total_accesses(self):
-        return self.payload.size
-
-    def all_addresses(self):
-        return np.asarray(self.payload, dtype=np.int64)
-
-
-class TestIncrementalExtend:
-    """Phase-delta folds: extend a cached prefix profile, never refold."""
-
-    def test_extend_from_prefix_matches_full_refold(self):
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        cache.reuse_profile("p0", base)
-        grown = cache.trace("p1", lambda: _GrownTrace(base))
-        profile = cache.reuse_profile("p1", grown, extend_from="p0")
-        assert cache.stats.reuse_extends == 1
-        want = build_reuse_profile(grown.all_addresses())
-        np.testing.assert_array_equal(profile.gaps, want.gaps)
-        np.testing.assert_array_equal(profile.sorted_gaps, want.sorted_gaps)
-        # The extended profile is cached under its own key like any other.
-        assert cache.reuse_profile("p1", grown) is profile
-
-    def test_extend_counter_mirrored_to_process_metrics(self):
-        counters = process_metrics().counters
-        before = counters.get("cache.reuse_extends", 0.0)
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        cache.reuse_profile("p0", base)
-        cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
-        assert counters["cache.reuse_extends"] == before + 1
-
-    def test_missing_base_falls_back_to_full_refold(self):
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        grown = _GrownTrace(base)
-        profile = cache.reuse_profile("p1", grown, extend_from="absent")
-        assert cache.stats.reuse_extends == 0
-        want = build_reuse_profile(grown.all_addresses())
-        np.testing.assert_array_equal(profile.gaps, want.gaps)
-
-    def test_longer_base_falls_back_to_full_refold(self):
-        # extend_from names a key whose stream is LONGER than the target:
-        # no prefix relationship, so the extend path must not engage.
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        grown = _GrownTrace(base)
-        cache.reuse_profile("p1", grown)
-        profile = cache.reuse_profile("p0", base, extend_from="p1")
-        assert cache.stats.reuse_extends == 0
-        assert profile.n == base.total_accesses
-
-    def test_parity_oracle_passes_on_honest_extension(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
-        counters = process_metrics().counters
-        checks = counters.get("reuse.parity_checks", 0.0)
-        failures = counters.get("reuse.parity_failures", 0.0)
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        cache.reuse_profile("p0", base)
-        cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
-        assert counters["reuse.parity_checks"] == checks + 1
-        assert counters.get("reuse.parity_failures", 0.0) == failures
-
-    def test_parity_oracle_raises_on_sabotaged_base(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
-        counters = process_metrics().counters
-        failures = counters.get("reuse.parity_failures", 0.0)
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        sabotaged = cache.reuse_profile("p0", base)
-        sabotaged.gaps[0] = 12_345  # an extension would inherit the lie
-        with pytest.raises(TraceError, match="diverged"):
-            cache.reuse_profile("p1", _GrownTrace(base), extend_from="p0")
-        assert counters["reuse.parity_failures"] == failures + 1
-
-    def test_extended_profile_serves_masks_bit_exact(self):
-        cache = TraceCache(max_traces=4)
-        base = cache.trace("p0", _ReuseTrace)
-        cache.reuse_profile("p0", base)
-        grown = _GrownTrace(base)
-        cache.reuse_profile("p1", grown, extend_from="p0")
-        addrs = grown.all_addresses()
-        for size in (16 << 10, 64 << 10):
-            llc = WorkingSetCache(size)
-            np.testing.assert_array_equal(
-                cache.hit_mask("p1", llc, grown), llc.hit_mask(addrs)
-            )
-        assert cache.stats.reuse_extends == 1  # masks reused the profile

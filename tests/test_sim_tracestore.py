@@ -21,7 +21,6 @@ from repro.mem.cache import WorkingSetCache
 from repro.mem.trace import AccessKind, AccessTrace
 from repro.sim.parallel import AppSpec, JobSpec, execute_job
 from repro.sim.tracecache import TraceCache, llc_signature
-from repro.sim.reusepack import build_reuse_profile
 from repro.sim.tracestore import (
     FORMAT_VERSION,
     TRACE_ARRAY,
@@ -174,113 +173,6 @@ class TestMaskRoundtrip:
         # The bad mask pair is gone; the trace itself is untouched.
         assert not fresh.has_mask("k1", sig)
         assert fresh.load_trace("k1") is not None
-
-
-class TestReuseRoundtrip:
-    def test_reuse_roundtrip(self, tmp_path):
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        assert store.save_reuse("k1", profile.line_size, profile) is True
-        assert store.has_reuse("k1", profile.line_size)
-        loaded = TraceStore(tmp_path).load_reuse(
-            "k1", profile.line_size, profile.n
-        )
-        np.testing.assert_array_equal(loaded.gaps, profile.gaps)
-        np.testing.assert_array_equal(loaded.sorted_gaps, profile.sorted_gaps)
-
-    def test_reuse_save_is_idempotent(self, tmp_path):
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        assert store.save_reuse("k1", profile.line_size, profile) is True
-        assert store.save_reuse("k1", profile.line_size, profile) is False
-        assert store.stats.reuse_saves == 1
-
-    def test_reuse_length_mismatch_rejected(self, tmp_path):
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        store.save_reuse("k1", profile.line_size, profile)
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_reuse("k1", profile.line_size, 9) is None
-        assert fresh.stats.rejects == 1
-        assert not fresh.has_reuse("k1", profile.line_size)
-        assert fresh.load_trace("k1") is not None  # trace untouched
-
-    def test_v1_reuse_entry_rejected_and_rebuilt(self, tmp_path):
-        # A pre-curve v1 entry: int64 [2, n] gap rows only, sidecar
-        # without the reuse_format stamp.  It must be rejected (never
-        # migrated or misread as the float64 v2 layout) and a clean
-        # re-save must produce a loadable v2 entry.
-        import zlib
-
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        array_path, sidecar_path = store._reuse_paths("k1", profile.line_size)
-        stacked_v1 = np.stack([profile.gaps, profile.sorted_gaps])
-        array_path.parent.mkdir(parents=True, exist_ok=True)
-        np.save(array_path, stacked_v1)
-        sidecar_path.write_text(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "n": int(profile.n),
-                    "line_size": int(profile.line_size),
-                    "crc32": zlib.crc32(
-                        np.ascontiguousarray(stacked_v1).view(np.uint8).data
-                    ),
-                }
-            )
-        )
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
-        assert fresh.stats.rejects == 1
-        assert not fresh.has_reuse("k1", profile.line_size)
-        assert fresh.save_reuse("k1", profile.line_size, profile) is True
-        reread = TraceStore(tmp_path).load_reuse(
-            "k1", profile.line_size, profile.n
-        )
-        np.testing.assert_array_equal(reread.gaps, profile.gaps)
-        np.testing.assert_array_equal(reread.sorted_gaps, profile.sorted_gaps)
-
-    def test_loaded_reuse_answers_masks_without_float_work(self, tmp_path):
-        # The v2 point: the window curve rides in the artifact, so the
-        # loaded profile starts with the curve attached (not lazily
-        # rebuilt) and derives masks identical to the fresh profile's.
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        store.save_reuse("k1", profile.line_size, profile)
-        loaded = TraceStore(tmp_path).load_reuse(
-            "k1", profile.line_size, profile.n
-        )
-        assert loaded._f_at_gap is not None
-        for size_bytes in (16 << 10, 64 << 10):
-            llc = WorkingSetCache(size_bytes)
-            np.testing.assert_array_equal(
-                loaded.hit_mask_for(llc), profile.hit_mask_for(llc)
-            )
-
-    def test_corrupted_reuse_bytes_fail_crc(self, tmp_path):
-        store = TraceStore(tmp_path)
-        trace = small_trace()
-        store.save_trace("k1", trace)
-        profile = build_reuse_profile(trace.all_addresses())
-        store.save_reuse("k1", profile.line_size, profile)
-        array_path = store._reuse_paths("k1", profile.line_size)[0]
-        raw = bytearray(array_path.read_bytes())
-        raw[-8] ^= 0xFF
-        array_path.write_bytes(bytes(raw))
-        fresh = TraceStore(tmp_path)
-        assert fresh.load_reuse("k1", profile.line_size, profile.n) is None
-        assert fresh.stats.rejects == 1
 
 
 class TestIntegrity:
