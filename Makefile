@@ -32,7 +32,8 @@ bench-smoke:
 	  $(PYTHON) -m pytest benchmarks/bench_parallel_engine.py benchmarks/bench_fold.py benchmarks/bench_obs_overhead.py --benchmark-only --jobs 2
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression --strict --fresh benchmarks/results/BENCH_smoke.json
 
-# Reuse-fold microbenchmark: argsort fold vs the O(N) last-seen kernel;
+# Reuse-fold microbenchmark: argsort oracle vs the selected O(N) fold
+# (the numpy run-head fold, or the last-seen kernel when numba is present);
 # appends reuse_speedup + trace_gen_vectorize rows to BENCH_parallel.json
 # (the committed baselines the bench-smoke gate compares against).
 bench-fold:

@@ -1,15 +1,18 @@
 """Reuse-fold microbenchmark (``make bench-fold``).
 
-Times the two reuse-gap folds behind every working-set hit mask, on one
-representative trace (the PR/twitter smoke cell):
+Times the argsort parity oracle against the reuse-gap fold behind every
+working-set hit mask, on one representative trace (the PR/twitter smoke
+cell):
 
-1. **argsort fold** — the vectorised O(N log N) fallback
-   (:func:`repro.mem.cache._argsort_reuse_gaps`);
-2. **last-seen kernel** — the O(N) numba fold
-   (:func:`repro.mem.cachejit.reuse_gap_kernel`), when numba is
+1. **argsort oracle** — the O(N log N) stable-argsort fold
+   (:func:`repro.mem.cache._argsort_reuse_gaps`) that
+   ``REPRO_VERIFY_REUSE=1`` checks every fold against;
+2. **selected fold** — what :func:`repro.mem.cache.reuse_time_gaps`
+   runs: the O(N) last-seen numba kernel
+   (:func:`repro.mem.cachejit.reuse_gap_kernel`) when numba is
    importable and ``REPRO_JIT`` allows it (compile time excluded, like
-   any warmed JIT); without numba the column records ``null`` and the
-   selected path equals the fallback.
+   any warmed JIT), otherwise the O(N) numpy run-head fold.  The ``jit``
+   column says which; ``kernel_seconds`` is ``null`` without numba.
 
 Both folds must agree bit-for-bit before anything is recorded.  The
 ``reuse_speedup`` row lands in ``BENCH_parallel.json`` (or the file
@@ -64,18 +67,11 @@ def test_reuse_fold_speedup(once):
         3, lambda: _argsort_reuse_gaps(lines)
     )
 
-    kernel = reuse_gap_kernel()
-    kernel_seconds = None
-    if kernel is not None:
-        reuse_time_gaps(addrs)  # pay the one-time numba compile here
-        kernel_seconds, selected_gaps = _best_of(
-            3, lambda: reuse_time_gaps(addrs)
-        )
-        selected_seconds = kernel_seconds
-    else:
-        selected_seconds, selected_gaps = _best_of(
-            3, lambda: reuse_time_gaps(addrs)
-        )
+    jit = reuse_gap_kernel() is not None
+    reuse_time_gaps(addrs)  # warm-up: pays the one-time numba compile
+    selected_seconds, selected_gaps = _best_of(
+        3, lambda: reuse_time_gaps(addrs)
+    )
     assert np.array_equal(argsort_gaps, selected_gaps)
 
     record_parallel_timing(
@@ -85,12 +81,10 @@ def test_reuse_fold_speedup(once):
             "cells": 1,
             "scale": bench_scale(),
             "accesses": int(addrs.size),
-            "jit": kernel is not None,
+            "jit": jit,
             "wall_seconds": round(selected_seconds, 4),
             "argsort_seconds": round(argsort_seconds, 4),
-            "kernel_seconds": (
-                round(kernel_seconds, 4) if kernel_seconds is not None else None
-            ),
+            "kernel_seconds": round(selected_seconds, 4) if jit else None,
             "speedup": round(argsort_seconds / max(selected_seconds, 1e-9), 2),
         }
     )

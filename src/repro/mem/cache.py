@@ -39,7 +39,7 @@ LINE_SIZE = 1 << LINE_SHIFT
 #: exact and approximate models.
 GAP_COLD = np.iinfo(np.int64).max
 
-#: When truthy, every kernel-folded reuse-gap array is re-computed by the
+#: When truthy, every folded reuse-gap array is re-computed by the
 #: argsort fold and the two must be bit-identical (the reuse parity
 #: oracle; :func:`repro.sim.reusepack.fold_reuse_chunks` applies it to
 #: streamed folds as well).
@@ -48,12 +48,13 @@ VERIFY_REUSE_ENV = "REPRO_VERIFY_REUSE"
 #: The dense last-seen table covers ``max - min + 1`` line slots; a
 #: stream whose line span exceeds this multiple of its length is too
 #: sparse for the table (the bump allocator makes real traces dense, so
-#: this only trips on synthetic adversaries) and folds via argsort.
+#: this only trips on synthetic adversaries) and takes the run-head fold.
 _DENSE_SPAN_FACTOR = 8
 
 
 def _argsort_reuse_gaps(lines: np.ndarray) -> np.ndarray:
-    """The vectorised O(N log N) reuse fold: one stable argsort."""
+    """The O(N log N) reuse fold, one stable argsort: the parity oracle
+    for the O(N) folds (see :func:`reuse_time_gaps`)."""
     n = lines.size
     gaps = np.full(n, GAP_COLD, dtype=np.int64)
     order = np.argsort(lines, kind="stable")
@@ -70,7 +71,7 @@ def dense_table_span(lines: np.ndarray) -> tuple[int, int] | None:
 
     ``None`` means the stream is too sparse for a dense table (span more
     than :data:`_DENSE_SPAN_FACTOR` times the access count) and callers
-    must stay on the argsort path.
+    must not build one.
     """
     if lines.size == 0:
         return None
@@ -81,11 +82,12 @@ def dense_table_span(lines: np.ndarray) -> tuple[int, int] | None:
     return base, span
 
 
-def _kernel_reuse_gaps(lines: np.ndarray) -> np.ndarray | None:
+def _kernel_reuse_gaps(addrs: np.ndarray, line_shift: int) -> np.ndarray | None:
     """The O(N) last-seen fold, or ``None`` when it does not apply."""
     kernel = reuse_gap_kernel()
     if kernel is None:
         return None
+    lines = addrs >> line_shift
     geometry = dense_table_span(lines)
     if geometry is None:
         return None
@@ -93,6 +95,51 @@ def _kernel_reuse_gaps(lines: np.ndarray) -> np.ndarray | None:
     last_seen = np.full(span, -1, dtype=np.int64)
     gaps = np.empty(lines.size, dtype=np.int64)
     kernel(lines, base, last_seen, gaps, GAP_COLD, 0)
+    return gaps
+
+
+def _run_head_reuse_gaps(addrs: np.ndarray, line_shift: int) -> np.ndarray:
+    """The numpy O(N) reuse fold over a non-empty stream.
+
+    An access to the same line as the access before it has gap 1 and is
+    never sorted.  Run heads are grouped by line with LSD radix passes of
+    ``np.argsort(kind="stable")`` over the uint16 digits of each head's
+    offset from the lowest line (numpy radix-sorts 16-bit keys; the
+    uint64 view undoes int64 wrap-around, so any span sorts).  In that
+    order each head follows the previous run of its line, and its gap is
+    its position minus that run's end.  Spent intermediates are dropped
+    early, so the fold peaks at about half the argsort fold's bytes.
+    """
+    n = addrs.size
+    lines = addrs >> line_shift
+    heads = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+    keys = lines[heads]
+    del lines
+    keys -= keys.min()
+    keys = keys.view(np.uint64)
+    shifts = range(0, max(int(keys.max()).bit_length(), 1), 16)
+    digits = [(keys >> np.uint64(shift)).astype(np.uint16) for shift in shifts]
+    del keys
+    order = np.argsort(digits[0], kind="stable")
+    for digit in digits[1:]:
+        order = order[np.argsort(digit[order], kind="stable")]
+    cold = np.zeros(heads.size - 1, dtype=bool)
+    for digit in digits:
+        sorted_digit = digit[order]
+        cold |= sorted_digit[1:] != sorted_digit[:-1]
+    del digits, sorted_digit
+    sorted_heads = heads[order]
+    ends = heads  # in place: a run ends one before the next run's head
+    ends[:-1] = heads[1:]
+    ends[-1] = n
+    ends -= 1
+    head_gaps = ends[order[:-1]]
+    del heads, ends, order
+    np.subtract(sorted_heads[1:], head_gaps, out=head_gaps)
+    head_gaps[cold] = GAP_COLD
+    gaps = np.ones(n, dtype=np.int64)
+    gaps[sorted_heads[1:]] = head_gaps
+    gaps[sorted_heads[0]] = GAP_COLD
     return gaps
 
 
@@ -105,24 +152,22 @@ def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarr
     :mod:`repro.sim.reusepack`.  The gaps are **LLC-size-independent**:
     they depend only on the address stream and the line granularity.
 
-    Two implementations with bit-identical output: when numba is
-    importable (and ``REPRO_JIT`` allows it), an O(N) single pass over a
-    dense last-seen table (:func:`repro.mem.cachejit.reuse_gaps_py`);
-    otherwise one stable argsort over line numbers (O(N log N)).
-    ``REPRO_VERIFY_REUSE=1`` re-runs the argsort fold after every kernel
-    fold and raises :class:`~repro.errors.TraceError` on divergence
+    Two O(N) implementations with bit-identical output: when numba is
+    importable (and ``REPRO_JIT`` allows it), a single pass over a dense
+    last-seen table (:func:`repro.mem.cachejit.reuse_gaps_py`);
+    otherwise the numpy run-head fold (:func:`_run_head_reuse_gaps`).
+    ``REPRO_VERIFY_REUSE=1`` re-runs the argsort fold after either and
+    raises :class:`~repro.errors.TraceError` on divergence
     (``reuse.parity_checks`` / ``reuse.parity_failures`` metrics).
     """
     addrs = np.asarray(addrs, dtype=np.int64)
-    n = addrs.size
-    if n == 0:
+    if addrs.size == 0:
         return np.full(0, GAP_COLD, dtype=np.int64)
-    lines = addrs >> line_shift
-    gaps = _kernel_reuse_gaps(lines)
+    gaps = _kernel_reuse_gaps(addrs, line_shift)
     if gaps is None:
-        return _argsort_reuse_gaps(lines)
+        gaps = _run_head_reuse_gaps(addrs, line_shift)
     if os.environ.get(VERIFY_REUSE_ENV):
-        _verify_reuse_gaps(gaps, lines)
+        _verify_reuse_gaps(gaps, addrs >> line_shift)
     return gaps
 
 
@@ -136,51 +181,51 @@ def _verify_reuse_gaps(gaps: np.ndarray, lines: np.ndarray) -> None:
     if not np.array_equal(gaps, direct):
         registry.inc("reuse.parity_failures")
         raise TraceError(
-            "last-seen reuse fold diverged from the argsort fold: "
+            "reuse fold diverged from the argsort fold: "
             f"{int(np.count_nonzero(gaps != direct))} of {gaps.size} "
             "gaps differ"
         )
 
 
-def gap_window_curve(
-    sorted_gaps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums and window-function samples of ascending float64 gaps.
+def working_set_window(gaps: np.ndarray, capacity_lines: int) -> float:
+    """The window W* whose average working-set size is ``capacity_lines``.
 
-    Returns ``(prefix, f_at_gap)`` where ``prefix[k]`` is the sum of the
-    ``k`` smallest gaps and ``f_at_gap[k] = f(g_k)`` samples the
-    piecewise-linear window function ``f(W) = sum_i min(gap_i, W)`` at
-    the k-th gap value.  Both are capacity-independent, so one curve
-    prices every LLC size (see :func:`solve_window_curve`).
+    ``f(W) = sum_i min(gap_i, W)`` (cold gaps count as W) is piecewise
+    linear and increasing; solve ``f(W*) = C * T`` exactly over a
+    histogram of the warm gaps.  At gap value v,
+    ``f(v) = sum_{g<v} g + v * (T - #{g<v})``; the first v with
+    ``f(v) >= C * T`` fixes the segment, and W* is one division of exact
+    integers (warm gaps of a T-access stream are below T, so at most T
+    bins).  Equal to the float64 prefix curve over the sorted gaps while
+    ``T**2`` and ``C * T`` stay below ``2**53``.  ``inf``: the footprint
+    fits.
     """
-    t = sorted_gaps.size
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_gaps)))
-    remaining = t - 1 - np.arange(t, dtype=np.float64)
-    f_at_gap = prefix[1:] + sorted_gaps * remaining
-    return prefix, f_at_gap
+    t = int(gaps.size)
+    target = int(capacity_lines) * t
+    warm = gaps[gaps < GAP_COLD]
+    hist = np.bincount(warm)
+    values = np.flatnonzero(hist)
+    counts = hist[values]
+    below = np.cumsum(counts) - counts  # #{g < v}
+    weights = counts * values
+    below_sum = np.cumsum(weights) - weights  # sum_{g<v} g
+    f = below_sum + values * (t - below)
+    if values.size and target <= int(f[-1]):
+        v = int(np.searchsorted(f, target, side="left"))
+        return (target - int(below_sum[v])) / (t - int(below[v]))
+    n_cold = t - warm.size
+    warm_sum = int(weights.sum())
+    if n_cold == 0 or warm_sum + GAP_COLD * n_cold < target:
+        return float("inf")
+    return (target - warm_sum) / n_cold
 
 
-def solve_window_curve(
-    prefix: np.ndarray, f_at_gap: np.ndarray, capacity_lines: int
-) -> float:
-    """Solve ``f(W*) = capacity * T`` on a precomputed curve in O(log T).
-
-    The closed form of :meth:`WorkingSetCache.solve_window`, split from
-    the per-trace sort so a cached curve answers any capacity without
-    re-sorting.  Returns ``inf`` when the whole footprint fits.
-    """
-    t = f_at_gap.size
-    if t == 0:
-        return float("inf")
-    target = float(capacity_lines) * t
-    k = int(np.searchsorted(f_at_gap, target, side="left"))
-    if k >= t:
-        return float("inf")
-    # Solve prefix[k] + W * (t - k) = target on [g[k-1], g[k]].
-    denom = t - k
-    if denom <= 0:
-        return float("inf")
-    return (target - prefix[k]) / denom
+def working_set_hits(gaps: np.ndarray, capacity_lines: int) -> np.ndarray:
+    """Hit iff ``gap <= W*``; every warm gap hits when ``W*`` is ``inf``."""
+    window = working_set_window(gaps, capacity_lines)
+    if np.isinf(window):
+        return gaps < GAP_COLD
+    return gaps <= window
 
 
 def _check_geometry(size_bytes: int, line_size: int) -> int:
@@ -379,7 +424,10 @@ class WorkingSetCache:
     the identity that the average working-set size over windows of length W
     is ``s(W) = (1/T) * sum_i min(gap_i, W)`` (first occurrences count as
     W).  Solving ``s(W*) = C`` for the window W* and declaring a hit iff
-    ``gap <= W*`` yields the classic LRU approximation.
+    ``gap <= W*`` yields the classic LRU approximation.  Both steps are
+    linear-time: the run-head reuse fold (:func:`reuse_time_gaps`) and an
+    exact integer solve over a histogram of the gaps
+    (:func:`working_set_window`).
 
     This captures what matters for the reproduction: streaming data hits
     only within a line (gap 1), hot vertices with short reuse gaps stay
@@ -408,23 +456,10 @@ class WorkingSetCache:
         return reuse_time_gaps(addrs, self._line_shift)
 
     def solve_window(self, gaps: np.ndarray) -> float:
-        """The window W* with average working-set size = cache capacity.
-
-        ``f(W) = sum_i min(gap_i, W)`` is piecewise linear and increasing;
-        solve ``f(W) = C * T`` on the sorted gaps in closed form.  Returns
-        ``inf`` when the whole footprint fits (every reuse hits).
-        """
-        sorted_gaps = np.sort(gaps).astype(np.float64)
-        prefix, f_at_gap = gap_window_curve(sorted_gaps)
-        return solve_window_curve(prefix, f_at_gap, self.capacity_lines)
+        """The window W* with average working-set size = cache capacity
+        (:func:`working_set_window`)."""
+        return working_set_window(gaps, self.capacity_lines)
 
     def hit_mask(self, addrs: np.ndarray) -> np.ndarray:
         """Boolean hit mask for one full run's address stream."""
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return np.empty(0, dtype=bool)
-        gaps = self.reuse_gaps(addrs)
-        window = self.solve_window(gaps)
-        if np.isinf(window):
-            return gaps < GAP_COLD
-        return gaps <= window
+        return working_set_hits(self.reuse_gaps(addrs), self.capacity_lines)

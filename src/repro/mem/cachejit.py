@@ -7,15 +7,15 @@ Two interpreter-bound inner loops live behind this module:
   numba is importable, :func:`lru_kernel` compiles the same per-set LRU
   replay over flat int64 state arrays with bit-identical semantics.
 - :func:`repro.mem.cache.reuse_time_gaps` folds an address stream into
-  per-access reuse time gaps.  The vectorised fallback is a stable
-  argsort (O(N log N)); :func:`reuse_gap_kernel` compiles the textbook
-  O(N) alternative — one pass over the stream against a dense
-  *last-seen table* indexed by line number (:func:`reuse_gaps_py`), the
-  same fold an LRU simulator's bookkeeping would do.  The gap of access
-  *i* is ``i - last_seen[line]`` (or the caller's cold sentinel on a
-  first touch), which is exactly what the argsort fold computes, so the
-  two paths are bit-identical and ``REPRO_VERIFY_REUSE=1`` can hold
-  them to it (see :mod:`repro.sim.tracecache`).
+  per-access reuse time gaps.  The numpy fallback is the O(N) run-head
+  radix fold; :func:`reuse_gap_kernel` compiles the textbook single-pass
+  alternative — one pass over the stream against a dense *last-seen
+  table* indexed by line number (:func:`reuse_gaps_py`), the same fold
+  an LRU simulator's bookkeeping would do.  The gap of access *i* is
+  ``i - last_seen[line]`` (or the caller's cold sentinel on a first
+  touch), which is exactly what every fold computes, so the paths are
+  bit-identical and ``REPRO_VERIFY_REUSE=1`` holds both to the argsort
+  oracle.
 
 The packaging idiom follows the numba runtime pattern: the dependency is
 *optional* and resolved lazily.  ``import numba`` happens on first
@@ -101,8 +101,8 @@ def reuse_gaps_py(lines, base, last_seen, gaps, gap_cold, start) -> None:
     — ``start`` is 0 for a whole-trace fold, and a prior fold's length
     for an incremental chunk extension (:meth:`repro.sim.reusepack.
     ReuseProfile.extend`), which carries the table forward instead of
-    refolding the prefix.  Bit-identical to the argsort fold in
-    :func:`repro.mem.cache.reuse_time_gaps`: both report
+    refolding the prefix.  Bit-identical to the numpy folds in
+    :mod:`repro.mem.cache`: all report
     ``position - previous_position`` with the caller's ``gap_cold``
     sentinel marking first touches.  Written in the numba-compilable
     subset (index loop, no Python objects) so the compiled and
@@ -152,7 +152,7 @@ def reuse_gap_kernel():
     """The compiled last-seen reuse fold, or ``None`` when unavailable.
 
     Same contract as :func:`lru_kernel`: ``None`` sends the caller to
-    the vectorised argsort fallback, the :data:`JIT_ENV` gate is re-read
+    the numpy run-head fold, the :data:`JIT_ENV` gate is re-read
     per call, and the import/compile cost is paid once per process.
     """
     global _REUSE_RESOLVED, _REUSE_KERNEL

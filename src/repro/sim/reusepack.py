@@ -7,19 +7,16 @@ address copy would spend more than a quarter of ``REPRO_WORKER_BYTES``
 cannot take that route, so its mask comes from this module instead:
 :func:`fold_reuse_chunks` folds the trace chunk by chunk into a
 :class:`ReuseProfile`, and :meth:`ReuseProfile.hit_mask_for` answers the
-LLC's mask from it.  The profile holds
+LLC's mask from it.  The profile holds ``gaps`` — per-access reuse time
+gaps in program order (the output of
+:func:`repro.mem.cache.reuse_time_gaps`, with
+:data:`repro.mem.cache.GAP_COLD` marking first occurrences) — plus,
+while the stream stays dense, the fold's last-seen table so the next
+chunk arrives by :meth:`ReuseProfile.extend` instead of a refold.
 
-- ``gaps`` — per-access reuse time gaps in program order (the output of
-  :func:`repro.mem.cache.reuse_time_gaps`, with
-  :data:`repro.mem.cache.GAP_COLD` marking first occurrences), and
-- ``sorted_gaps`` — the same gaps ascending,
-
-plus, while the stream stays dense, the fold's last-seen table so the
-next chunk arrives by :meth:`ReuseProfile.extend` instead of a refold.
-
-Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` performs
-the *identical* float64 operations as ``WorkingSetCache.hit_mask`` (same
-sort → float64 cast → prefix curve → closed-form solve → compare), and
+Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` runs the
+*same* solve and compare as ``WorkingSetCache.hit_mask``
+(:func:`repro.mem.cache.working_set_hits`), and
 a chunked fold equals the one-shot fold of the concatenated stream.
 ``REPRO_VERIFY_REUSE=1`` re-checks the second half at runtime: every
 chained streaming fold is compared with a one-shot refold
@@ -41,9 +38,8 @@ from repro.mem.cache import (
     VERIFY_REUSE_ENV,
     WorkingSetCache,
     dense_table_span,
-    gap_window_curve,
     reuse_time_gaps,
-    solve_window_curve,
+    working_set_hits,
 )
 from repro.obs.metrics import process_metrics
 
@@ -61,7 +57,7 @@ def derivable(llc) -> bool:
 
 @dataclass
 class ReuseProfile:
-    """Per-access reuse gaps plus the same gaps sorted.
+    """Per-access reuse gaps of one address stream.
 
     ``_fold_state`` optionally carries the fold's dense last-seen table
     (``(base_line, table)``, global stream positions, ``-1`` = never
@@ -70,7 +66,6 @@ class ReuseProfile:
     """
 
     gaps: np.ndarray  # int64 [n], program order; GAP_COLD = first touch
-    sorted_gaps: np.ndarray  # int64 [n], ascending
     line_size: int = LINE_SIZE
     _fold_state: tuple[int, np.ndarray] | None = field(
         default=None, repr=False, compare=False
@@ -80,18 +75,6 @@ class ReuseProfile:
     def n(self) -> int:
         """Accesses described by this profile."""
         return int(self.gaps.size)
-
-    def window(self, capacity_lines: int) -> float:
-        """The working-set window W* for one capacity.
-
-        Identical to :meth:`WorkingSetCache.solve_window` after its
-        sort: ascending gaps cast to float64, the prefix curve, then the
-        closed-form solve.
-        """
-        prefix, f_at_gap = gap_window_curve(
-            self.sorted_gaps.astype(np.float64)
-        )
-        return solve_window_curve(prefix, f_at_gap, capacity_lines)
 
     # ------------------------------------------------------------------
     # incremental phase extension
@@ -108,11 +91,10 @@ class ReuseProfile:
         over the delta alone (gap = position difference, invariant under
         the shared ``base_n`` offset), delta accesses whose line was
         last seen in the base stream are patched from the carried
-        last-seen table, and the sorted row is a searchsorted merge —
-        bit-identical to ``np.sort`` of the concatenation, without the
-        O((N+d) log (N+d)) re-sort.  The base profile is never mutated;
-        the result carries its own forwarded table so extensions chain
-        chunk after chunk.
+        last-seen table — bit-identical to the fold of the
+        concatenation.  The base profile is never mutated; the result
+        carries its own forwarded table so extensions chain chunk after
+        chunk.
 
         Raises :class:`TraceError` when the profile has no fold state —
         callers should check :attr:`can_extend` and fall back to a full
@@ -126,7 +108,6 @@ class ReuseProfile:
         if addrs.size == 0:
             return ReuseProfile(
                 gaps=self.gaps,
-                sorted_gaps=self.sorted_gaps,
                 line_size=self.line_size,
                 _fold_state=self._fold_state,
             )
@@ -144,15 +125,8 @@ class ReuseProfile:
             prev[in_range] = table[idx[in_range]]
             seen = prev >= 0
             delta_gaps[cold[seen]] = base_n + cold[seen] - prev[seen]
-        gaps = np.concatenate([np.asarray(self.gaps), delta_gaps])
-        delta_sorted = np.sort(delta_gaps)
-        positions = np.searchsorted(self.sorted_gaps, delta_sorted)
-        sorted_gaps = np.insert(
-            np.asarray(self.sorted_gaps), positions, delta_sorted
-        )
         return ReuseProfile(
-            gaps=gaps,
-            sorted_gaps=sorted_gaps,
+            gaps=np.concatenate([np.asarray(self.gaps), delta_gaps]),
             line_size=self.line_size,
             _fold_state=self._forwarded_state(lines, base_n),
         )
@@ -185,12 +159,7 @@ class ReuseProfile:
         Bit-exact with :meth:`WorkingSetCache.hit_mask` on the same
         address stream — the same window solve, the same compares.
         """
-        if self.n == 0:
-            return np.empty(0, dtype=bool)
-        window = self.window(capacity_lines)
-        if np.isinf(window):
-            return self.gaps < GAP_COLD
-        return self.gaps <= window
+        return working_set_hits(self.gaps, capacity_lines)
 
     def hit_mask_for(self, llc) -> np.ndarray:
         """Derive ``llc.hit_mask(...)`` without touching the trace.
@@ -215,9 +184,9 @@ def _fold_state_of(lines: np.ndarray) -> tuple[int, np.ndarray] | None:
     """The dense last-seen table after folding ``lines``, or ``None``.
 
     Built vectorised (``np.maximum.at`` keeps the *latest* position per
-    line slot) so the state exists even when the fold itself ran on the
-    argsort path — extendability does not depend on numba.  ``None``
-    when the stream is too sparse for a dense table.
+    line slot) so the state exists even when the fold itself ran without
+    the kernel — extendability does not depend on numba.  ``None`` when
+    the stream is too sparse for a dense table.
     """
     geometry = dense_table_span(lines)
     if geometry is None:
@@ -235,9 +204,8 @@ def build_reuse_profile(
 ) -> ReuseProfile:
     """Fold one address stream into a :class:`ReuseProfile`.
 
-    One linear pass (or one vectorised stable argsort — see
-    :func:`repro.mem.cache.reuse_time_gaps`) plus one ``np.sort`` of the
-    gaps.  With ``with_state`` (the default) the profile also carries
+    One linear fold (see :func:`repro.mem.cache.reuse_time_gaps`).
+    With ``with_state`` (the default) the profile also carries
     the fold's last-seen table so later chunks can
     :meth:`~ReuseProfile.extend` it; pass ``False`` for one-shot folds
     that will never grow (saves the table's memory).
@@ -252,7 +220,6 @@ def build_reuse_profile(
         state = _fold_state_of(addrs >> shift)
     return ReuseProfile(
         gaps=gaps,
-        sorted_gaps=np.sort(gaps),
         line_size=line_size,
         _fold_state=state,
     )
@@ -311,10 +278,7 @@ def _verify_streamed(
     direct = build_reuse_profile(
         np.concatenate(chunks), line_size, with_state=False
     )
-    if not (
-        np.array_equal(streamed.gaps, direct.gaps)
-        and np.array_equal(streamed.sorted_gaps, direct.sorted_gaps)
-    ):
+    if not np.array_equal(streamed.gaps, direct.gaps):
         registry.inc("reuse.parity_failures")
         raise TraceError(
             "streamed reuse fold diverged from the one-shot refold"

@@ -386,3 +386,88 @@ class TestReuseGapKernel:
         checks = counters.get("reuse.parity_checks", 0.0)
         reuse_time_gaps(np.array([0, 0], dtype=np.int64))
         assert counters.get("reuse.parity_checks", 0.0) == checks
+
+
+def _line_streams(top):
+    """Address streams over a few distinct addresses in ``[0, top]``.
+
+    Both ends are always in the pool, so any stream that touches them
+    spans about ``top >> 6`` lines; drawing positions from a small pool
+    makes repeats, same-line runs and cross-line reuse common.
+    """
+    pool = st.lists(st.integers(0, top), max_size=12).map(
+        lambda extra: [0, top, *extra]
+    )
+    picks = st.lists(st.integers(0, 13), max_size=300)
+    return st.tuples(pool, picks).map(
+        lambda drawn: np.array(
+            [drawn[0][i % len(drawn[0])] for i in drawn[1]], dtype=np.int64
+        )
+    )
+
+
+class TestRunHeadFold:
+    """The numpy O(N) fold (no numba) against the argsort oracle."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "reuse_gap_kernel", lambda: None)
+
+    @pytest.mark.parametrize(
+        "top",
+        [
+            1 << 12,  # one radix pass
+            1 << 23,  # line span above 2^16: two passes
+            1 << 39,  # line span above 2^32: three passes
+            (1 << 62) - 1,  # sparse 62-bit addresses: four passes
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_argsort_fold(self, top, data):
+        addrs = data.draw(_line_streams(top))
+        got = reuse_time_gaps(addrs)
+        assert np.array_equal(got, _argsort_reuse_gaps(addrs >> 6))
+
+    @given(
+        addr=st.integers(0, (1 << 62) - 1),
+        offsets=st.lists(st.integers(0, LINE_SIZE - 1), max_size=200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_all_same_line(self, addr, offsets):
+        addrs = (addr & ~(LINE_SIZE - 1)) + np.array(offsets, dtype=np.int64)
+        gaps = reuse_time_gaps(addrs)
+        expected = [GAP_COLD] + [1] * (len(offsets) - 1) if offsets else []
+        assert gaps.tolist() == expected
+        assert np.array_equal(gaps, _argsort_reuse_gaps(addrs >> 6))
+
+    def test_empty_and_single_access(self):
+        assert reuse_time_gaps(np.empty(0, dtype=np.int64)).size == 0
+        assert reuse_time_gaps(np.array([1 << 61])).tolist() == [GAP_COLD]
+
+    def test_parity_oracle_passes_on_honest_fold(self, monkeypatch):
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        counters = process_metrics().counters
+        checks = counters.get("reuse.parity_checks", 0.0)
+        failures = counters.get("reuse.parity_failures", 0.0)
+        rng = np.random.default_rng(7)
+        reuse_time_gaps(rng.integers(0, 1 << 24, size=2_000))
+        assert counters["reuse.parity_checks"] == checks + 1
+        assert counters.get("reuse.parity_failures", 0.0) == failures
+
+    def test_parity_oracle_raises_on_sabotaged_fold(self, monkeypatch):
+        honest = cache_module._run_head_reuse_gaps
+
+        def _broken(addrs, line_shift):
+            gaps = honest(addrs, line_shift)
+            gaps[-1] = 1  # sabotage one gap
+            return gaps
+
+        monkeypatch.setattr(cache_module, "_run_head_reuse_gaps", _broken)
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        counters = process_metrics().counters
+        failures = counters.get("reuse.parity_failures", 0.0)
+        addrs = np.array([0, LINE_SIZE, 0], dtype=np.int64)
+        with pytest.raises(TraceError, match="diverged"):
+            reuse_time_gaps(addrs)
+        assert counters["reuse.parity_failures"] == failures + 1

@@ -5,7 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import LINE_SIZE, SetAssociativeCache, WorkingSetCache
+from repro.mem.cache import (
+    GAP_COLD,
+    LINE_SIZE,
+    SetAssociativeCache,
+    WorkingSetCache,
+    working_set_window,
+)
+
+
+def sorted_curve_window(gaps, capacity_lines):
+    """The float64 prefix-curve solve the histogram solve replaced.
+
+    Sort the gaps, cast to float64, sample ``f(W) = sum_i min(gap_i, W)``
+    at every gap, and solve the crossing segment in closed form.  Kept
+    here as the reference the exact integer solve must reproduce.
+    """
+    sorted_gaps = np.sort(gaps).astype(np.float64)
+    t = sorted_gaps.size
+    if t == 0:
+        return float("inf")
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_gaps)))
+    f_at_gap = prefix[1:] + sorted_gaps * (t - 1 - np.arange(t, dtype=np.float64))
+    target = float(capacity_lines) * t
+    k = int(np.searchsorted(f_at_gap, target, side="left"))
+    if k >= t:
+        return float("inf")
+    return (target - prefix[k]) / (t - k)
 
 
 class TestReuseGaps:
@@ -44,6 +70,57 @@ class TestSolveWindow:
     def test_empty_stream(self):
         cache = WorkingSetCache(1024)
         assert np.isinf(cache.solve_window(np.empty(0, dtype=np.int64)))
+
+
+class TestHistogramSolve:
+    """The exact integer solve against the old sorted float64 curve."""
+
+    @staticmethod
+    def _same(gaps, capacity_lines):
+        gaps = np.array(gaps, dtype=np.int64)
+        got = working_set_window(gaps, capacity_lines)
+        want = sorted_curve_window(gaps, capacity_lines)
+        assert got == want or (np.isinf(got) and np.isinf(want))
+        return got
+
+    def test_empty_gaps(self):
+        assert np.isinf(self._same([], 16))
+
+    def test_all_cold_gaps(self):
+        # Only cold gaps: f(W) = T * W, so W* is the capacity itself.
+        assert self._same([GAP_COLD] * 10, 4) == 4.0
+
+    def test_window_below_one(self):
+        assert self._same([GAP_COLD, 1, 3, 2], 0) == 0.0
+
+    def test_footprint_fits(self):
+        # No cold gap and C * T beyond f(max gap): every reuse hits.
+        assert np.isinf(self._same([1, 2, 3, 3], 5))
+
+    def test_capacity_one(self):
+        assert self._same([GAP_COLD, 1, 1, 5, GAP_COLD, 2], 1) == 1.0
+
+    @given(
+        gaps=st.lists(
+            st.one_of(st.integers(1, 500), st.just(GAP_COLD)), max_size=400
+        ),
+        capacity=st.integers(0, 1_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_curve(self, gaps, capacity):
+        self._same(gaps, capacity)
+
+    @given(
+        addrs=st.lists(st.integers(0, 1 << 16), max_size=400),
+        capacity=st.integers(1, 64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sorted_curve_on_streams(self, addrs, capacity):
+        cache = WorkingSetCache(capacity * LINE_SIZE)
+        gaps = cache.reuse_gaps(np.array(addrs, dtype=np.int64))
+        window = cache.solve_window(gaps)
+        want = sorted_curve_window(gaps, capacity)
+        assert window == want or (np.isinf(window) and np.isinf(want))
 
 
 class TestHitMask:

@@ -177,7 +177,6 @@ class TestExtend:
 
     def _assert_equal(self, got, want):
         np.testing.assert_array_equal(got.gaps, want.gaps)
-        np.testing.assert_array_equal(got.sorted_gaps, want.sorted_gaps)
         for size in FIGURE_SUITE_BYTES:
             llc = WorkingSetCache(size)
             np.testing.assert_array_equal(
@@ -258,4 +257,3 @@ class TestExtend:
         extended = build_reuse_profile(base_arr).extend(delta_arr)
         full = build_reuse_profile(np.concatenate([base_arr, delta_arr]))
         np.testing.assert_array_equal(extended.gaps, full.gaps)
-        np.testing.assert_array_equal(extended.sorted_gaps, full.sorted_gaps)

@@ -7,6 +7,7 @@ from repro.apps import make_app
 from repro.config import nvm_dram_testbed
 from repro.errors import TraceError
 from repro.graph.generators import chung_lu_graph
+from repro.mem import cache as cache_module
 from repro.mem.cache import VERIFY_REUSE_ENV, WorkingSetCache
 from repro.mem.trace import WORKER_BYTES_ENV, AccessTrace
 from repro.obs.metrics import process_metrics
@@ -188,6 +189,15 @@ class TestReuseDerivation:
     def test_parity_oracle_passes_on_honest_masks(self, monkeypatch):
         monkeypatch.setenv(WORKER_BYTES_ENV, STARVED_BUDGET)
         monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+        # Every single fold is checked too (numpy or kernel); count those
+        # checks so the streamed oracle's own count stays exact.
+        fold_checks = []
+        verify_fold = cache_module._verify_reuse_gaps
+        monkeypatch.setattr(
+            cache_module,
+            "_verify_reuse_gaps",
+            lambda gaps, lines: fold_checks.append(verify_fold(gaps, lines)),
+        )
         counters = process_metrics().counters
         checks = counters.get("reuse.parity_checks", 0.0)
         failures = counters.get("reuse.parity_failures", 0.0)
@@ -201,7 +211,10 @@ class TestReuseDerivation:
                 cache.hit_mask("k", llc, trace), llc.hit_mask(addrs)
             )
         assert _stage_count("stage.reuse_build") == folds + len(self.SWEEP)
-        assert counters["reuse.parity_checks"] == checks + len(self.SWEEP)
+        assert fold_checks
+        assert counters["reuse.parity_checks"] == (
+            checks + len(self.SWEEP) + len(fold_checks)
+        )
         assert counters.get("reuse.parity_failures", 0.0) == failures
 
     def test_parity_oracle_raises_on_divergence(self, monkeypatch):
