@@ -33,7 +33,7 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.regression --strict --fresh benchmarks/results/BENCH_smoke.json
 
 # Reuse-fold microbenchmark: argsort oracle vs the selected O(N) fold
-# (the numpy run-head fold, or the last-seen kernel when numba is present);
+# (the packed-key run-head fold, or the last-seen kernel with numba);
 # appends reuse_speedup + trace_gen_vectorize rows to BENCH_parallel.json
 # (the committed baselines the bench-smoke gate compares against).
 bench-fold:

@@ -8,11 +8,13 @@ cell):
    (:func:`repro.mem.cache._argsort_reuse_gaps`) that
    ``REPRO_VERIFY_REUSE=1`` checks every fold against;
 2. **selected fold** — what :func:`repro.mem.cache.reuse_time_gaps`
-   runs: the O(N) last-seen numba kernel
+   runs: the head-space fold, expanded to full gaps.  Its head gaps come
+   from the O(N) last-seen numba kernel
    (:func:`repro.mem.cachejit.reuse_gap_kernel`) when numba is
    importable and ``REPRO_JIT`` allows it (compile time excluded, like
-   any warmed JIT), otherwise the O(N) numpy run-head fold.  The ``jit``
-   column says which; ``kernel_seconds`` is ``null`` without numba.
+   any warmed JIT), otherwise from the numpy run-head fold (one
+   packed-key sort of the run heads).  The ``jit`` column says which;
+   ``kernel_seconds`` is ``null`` without numba.
 
 Both folds must agree bit-for-bit before anything is recorded.  The
 ``reuse_speedup`` row lands in ``BENCH_parallel.json`` (or the file

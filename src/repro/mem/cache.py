@@ -8,18 +8,18 @@ It serves two roles in the reproduction:
 2. The ATMem profiler samples every k-th miss address, modelling PEBS
    configured on an LLC-miss event (paper Section 5.1).
 
-Two implementations are provided:
+The system LLC is :class:`WorkingSetCache`, a linear-time working-set
+approximation of a fully-associative LRU cache.  Two exact simulators
+serve as references for tests and validation studies:
 
 - :class:`DirectMappedCache` — exact direct-mapped simulation, fully
   vectorised with NumPy (a stable sort groups accesses by set while
-  preserving program order inside each set).  This is the default for
-  benchmark-scale traces (millions of accesses).
+  preserving program order inside each set).
 - :class:`SetAssociativeCache` — exact N-way LRU simulation with a Python
-  per-access loop; used in tests and small studies to validate that the
-  direct-mapped approximation does not change experiment shapes.
+  per-access loop (or a numba kernel, when installed).
 
-Both keep their state across calls so a multi-phase trace is simulated as one
-continuous stream.
+Both exact simulators keep their state across calls so a multi-phase
+trace is simulated as one continuous stream.
 """
 
 from __future__ import annotations
@@ -39,11 +39,14 @@ LINE_SIZE = 1 << LINE_SHIFT
 #: exact and approximate models.
 GAP_COLD = np.iinfo(np.int64).max
 
-#: When truthy, every folded reuse-gap array is re-computed by the
-#: argsort fold and the two must be bit-identical (the reuse parity
-#: oracle; :func:`repro.sim.reusepack.fold_reuse_chunks` applies it to
-#: streamed folds as well).
+#: When truthy, every reuse fold (masks included) is expanded to full
+#: gaps and re-computed by the argsort fold; the two must be bit-identical
+#: (the reuse parity oracle; :func:`repro.sim.reusepack.fold_reuse_chunks`
+#: applies it to streamed folds as well).
 VERIFY_REUSE_ENV = "REPRO_VERIFY_REUSE"
+
+#: Accesses per block of the run-head scan (no N-sized line array).
+_HEAD_BLOCK = 1 << 16
 
 #: The dense last-seen table covers ``max - min + 1`` line slots; a
 #: stream whose line span exceeds this multiple of its length is too
@@ -54,7 +57,7 @@ _DENSE_SPAN_FACTOR = 8
 
 def _argsort_reuse_gaps(lines: np.ndarray) -> np.ndarray:
     """The O(N log N) reuse fold, one stable argsort: the parity oracle
-    for the O(N) folds (see :func:`reuse_time_gaps`)."""
+    for the O(N) folds (see :func:`_head_reuse_gaps`)."""
     n = lines.size
     gaps = np.full(n, GAP_COLD, dtype=np.int64)
     order = np.argsort(lines, kind="stable")
@@ -98,77 +101,102 @@ def _kernel_reuse_gaps(addrs: np.ndarray, line_shift: int) -> np.ndarray | None:
     return gaps
 
 
-def _run_head_reuse_gaps(addrs: np.ndarray, line_shift: int) -> np.ndarray:
-    """The numpy O(N) reuse fold over a non-empty stream.
+def _run_head_reuse_gaps(
+    addrs: np.ndarray, line_shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy O(N) reuse fold of a non-empty stream, in head space.
 
-    An access to the same line as the access before it has gap 1 and is
-    never sorted.  Run heads are grouped by line with LSD radix passes of
-    ``np.argsort(kind="stable")`` over the uint16 digits of each head's
-    offset from the lowest line (numpy radix-sorts 16-bit keys; the
-    uint64 view undoes int64 wrap-around, so any span sorts).  In that
-    order each head follows the previous run of its line, and its gap is
-    its position minus that run's end.  Spent intermediates are dropped
-    early, so the fold peaks at about half the argsort fold's bytes.
+    Only *run heads* (accesses whose line differs from the previous
+    access's) are folded; the rest have gap 1.  One sort of packed keys
+    ``(line - min_line) << b | head_index`` groups the heads by line, its
+    low ``b`` bits giving the order (a stable argsort when the key needs
+    more than 64 bits: only sparse synthetic streams).  In that order a
+    head's gap is its position minus the last position of the previous
+    run of its line.  Returns ``(positions, gaps)`` in that order.
     """
     n = addrs.size
-    lines = addrs >> line_shift
-    heads = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-    keys = lines[heads]
-    del lines
+    is_head = np.empty(n + 1, dtype=bool)
+    is_head[0] = is_head[n] = True  # [n]: a sentinel head past the end
+    for start in range(1, n, _HEAD_BLOCK):
+        lines = addrs[start - 1 : start + _HEAD_BLOCK] >> line_shift
+        np.not_equal(lines[1:], lines[:-1], out=is_head[start : start + lines.size - 1])
+    bounds = np.flatnonzero(is_head)
+    del is_head
+    heads = bounds[:-1]
+    keys = addrs[heads]
+    keys >>= line_shift
     keys -= keys.min()
     keys = keys.view(np.uint64)
-    shifts = range(0, max(int(keys.max()).bit_length(), 1), 16)
-    digits = [(keys >> np.uint64(shift)).astype(np.uint16) for shift in shifts]
+    index_bits = (heads.size - 1).bit_length()
+    if int(keys.max()).bit_length() + index_bits <= 64:
+        keys <<= np.uint64(index_bits)
+        keys |= np.arange(heads.size, dtype=np.uint64)
+        keys.sort()
+        order = (keys & np.uint64((1 << index_bits) - 1)).view(np.int64)
+        keys >>= np.uint64(index_bits)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    cold = keys[1:] != keys[:-1]
     del keys
-    order = np.argsort(digits[0], kind="stable")
-    for digit in digits[1:]:
-        order = order[np.argsort(digit[order], kind="stable")]
-    cold = np.zeros(heads.size - 1, dtype=bool)
-    for digit in digits:
-        sorted_digit = digit[order]
-        cold |= sorted_digit[1:] != sorted_digit[:-1]
-    del digits, sorted_digit
-    sorted_heads = heads[order]
-    ends = heads  # in place: a run ends one before the next run's head
-    ends[:-1] = heads[1:]
-    ends[-1] = n
-    ends -= 1
-    head_gaps = ends[order[:-1]]
-    del heads, ends, order
-    np.subtract(sorted_heads[1:], head_gaps, out=head_gaps)
-    head_gaps[cold] = GAP_COLD
-    gaps = np.ones(n, dtype=np.int64)
-    gaps[sorted_heads[1:]] = head_gaps
-    gaps[sorted_heads[0]] = GAP_COLD
-    return gaps
+    positions = heads[order]
+    gaps = np.empty(heads.size, dtype=np.int64)
+    gaps[0] = GAP_COLD
+    warm = gaps[1:]
+    # The previous run of a head's line ends one before the next run's
+    # head; mode="clip" (a no-op here) lets take write straight into warm.
+    np.take(bounds[1:], order[:-1], out=warm, mode="clip")
+    del bounds, heads, order
+    np.subtract(positions[1:], warm, out=warm)
+    warm += 1
+    warm[cold] = GAP_COLD
+    return positions, gaps
+
+
+def _head_reuse_gaps(
+    addrs: np.ndarray, line_shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, gaps)`` of the run heads (every other gap is 1).
+
+    The one fold behind every mask and full gap array: the last-seen
+    kernel's gaps read at its heads when numba is present, otherwise
+    :func:`_run_head_reuse_gaps`.  ``REPRO_VERIFY_REUSE=1`` expands them
+    and raises :class:`~repro.errors.TraceError` unless the argsort fold
+    agrees (``reuse.parity_checks`` / ``reuse.parity_failures``).
+    """
+    if addrs.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    kernel_gaps = _kernel_reuse_gaps(addrs, line_shift)
+    if kernel_gaps is None:
+        positions, gaps = _run_head_reuse_gaps(addrs, line_shift)
+    else:
+        positions = np.flatnonzero(kernel_gaps != 1)
+        gaps = kernel_gaps[positions]
+    if os.environ.get(VERIFY_REUSE_ENV):
+        _verify_reuse_gaps(
+            _expand_gaps(addrs.size, positions, gaps), addrs >> line_shift
+        )
+    return positions, gaps
+
+
+def _expand_gaps(n: int, positions: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Full per-access gaps from head space."""
+    full = np.ones(n, dtype=np.int64)
+    full[positions] = gaps
+    return full
 
 
 def reuse_time_gaps(addrs: np.ndarray, line_shift: int = LINE_SHIFT) -> np.ndarray:
     """Per-access reuse time gap at line granularity; ``GAP_COLD`` marks a
     first occurrence.
 
-    This is the fold the working-set model is built on, shared by
-    :meth:`WorkingSetCache.reuse_gaps` and the streaming reuse folds in
-    :mod:`repro.sim.reusepack`.  The gaps are **LLC-size-independent**:
-    they depend only on the address stream and the line granularity.
-
-    Two O(N) implementations with bit-identical output: when numba is
-    importable (and ``REPRO_JIT`` allows it), a single pass over a dense
-    last-seen table (:func:`repro.mem.cachejit.reuse_gaps_py`);
-    otherwise the numpy run-head fold (:func:`_run_head_reuse_gaps`).
-    ``REPRO_VERIFY_REUSE=1`` re-runs the argsort fold after either and
-    raises :class:`~repro.errors.TraceError` on divergence
-    (``reuse.parity_checks`` / ``reuse.parity_failures`` metrics).
+    The expansion of the head-space fold (:func:`_head_reuse_gaps`) for
+    :mod:`repro.sim.reusepack`; masks stay in head space.  The gaps are
+    **LLC-size-independent**: they depend only on the address stream and
+    the line granularity.
     """
     addrs = np.asarray(addrs, dtype=np.int64)
-    if addrs.size == 0:
-        return np.full(0, GAP_COLD, dtype=np.int64)
-    gaps = _kernel_reuse_gaps(addrs, line_shift)
-    if gaps is None:
-        gaps = _run_head_reuse_gaps(addrs, line_shift)
-    if os.environ.get(VERIFY_REUSE_ENV):
-        _verify_reuse_gaps(gaps, addrs >> line_shift)
-    return gaps
+    return _expand_gaps(addrs.size, *_head_reuse_gaps(addrs, line_shift))
 
 
 def _verify_reuse_gaps(gaps: np.ndarray, lines: np.ndarray) -> None:
@@ -187,12 +215,16 @@ def _verify_reuse_gaps(gaps: np.ndarray, lines: np.ndarray) -> None:
         )
 
 
-def working_set_window(gaps: np.ndarray, capacity_lines: int) -> float:
+def working_set_window(
+    gaps: np.ndarray, capacity_lines: int, repeats: int = 0
+) -> float:
     """The window W* whose average working-set size is ``capacity_lines``.
 
-    ``f(W) = sum_i min(gap_i, W)`` (cold gaps count as W) is piecewise
-    linear and increasing; solve ``f(W*) = C * T`` exactly over a
-    histogram of the warm gaps.  At gap value v,
+    The stream is ``gaps`` plus ``repeats`` implicit gap-1 accesses (the
+    non-heads of a head-space caller).  ``f(W) = sum_i min(gap_i, W)``
+    (cold gaps count as W) is piecewise linear and increasing; solve
+    ``f(W*) = C * T`` exactly over a histogram of the warm gaps, with the
+    repeats added to bin 1.  At gap value v,
     ``f(v) = sum_{g<v} g + v * (T - #{g<v})``; the first v with
     ``f(v) >= C * T`` fixes the segment, and W* is one division of exact
     integers (warm gaps of a T-access stream are below T, so at most T
@@ -200,11 +232,12 @@ def working_set_window(gaps: np.ndarray, capacity_lines: int) -> float:
     ``T**2`` and ``C * T`` stay below ``2**53``.  ``inf``: the footprint
     fits.
     """
-    t = int(gaps.size)
+    t = int(gaps.size) + repeats
     target = int(capacity_lines) * t
     warm = gaps[gaps < GAP_COLD]
-    hist = np.bincount(warm)
-    values = np.flatnonzero(hist)
+    hist = np.bincount(warm, minlength=2)
+    hist[1] += repeats
+    values = np.flatnonzero(hist != 0)
     counts = hist[values]
     below = np.cumsum(counts) - counts  # #{g < v}
     weights = counts * values
@@ -213,19 +246,26 @@ def working_set_window(gaps: np.ndarray, capacity_lines: int) -> float:
     if values.size and target <= int(f[-1]):
         v = int(np.searchsorted(f, target, side="left"))
         return (target - int(below_sum[v])) / (t - int(below[v]))
-    n_cold = t - warm.size
+    n_cold = t - warm.size - repeats
     warm_sum = int(weights.sum())
     if n_cold == 0 or warm_sum + GAP_COLD * n_cold < target:
         return float("inf")
     return (target - warm_sum) / n_cold
 
 
-def working_set_hits(gaps: np.ndarray, capacity_lines: int) -> np.ndarray:
-    """Hit iff ``gap <= W*``; every warm gap hits when ``W*`` is ``inf``."""
-    window = working_set_window(gaps, capacity_lines)
-    if np.isinf(window):
-        return gaps < GAP_COLD
-    return gaps <= window
+def working_set_mask(
+    n: int, positions: np.ndarray, gaps: np.ndarray, capacity_lines: int
+) -> np.ndarray:
+    """Hit iff ``gap <= W*`` (every warm gap when ``W*`` is ``inf``) for
+    an ``n``-access stream with ``gaps`` at ``positions`` and gap 1
+    elsewhere: gap-1 hits are one fill, head compares a scatter."""
+    window = working_set_window(gaps, capacity_lines, n - positions.size)
+    hits = np.full(n, window >= 1, dtype=bool)
+    if window == float("inf"):
+        hits[positions] = gaps < GAP_COLD
+    else:
+        hits[positions] = gaps <= window
+    return hits
 
 
 def _check_geometry(size_bytes: int, line_size: int) -> int:
@@ -424,10 +464,11 @@ class WorkingSetCache:
     the identity that the average working-set size over windows of length W
     is ``s(W) = (1/T) * sum_i min(gap_i, W)`` (first occurrences count as
     W).  Solving ``s(W*) = C`` for the window W* and declaring a hit iff
-    ``gap <= W*`` yields the classic LRU approximation.  Both steps are
-    linear-time: the run-head reuse fold (:func:`reuse_time_gaps`) and an
-    exact integer solve over a histogram of the gaps
-    (:func:`working_set_window`).
+    ``gap <= W*`` yields the classic LRU approximation.  :meth:`hit_mask`
+    works in head space: only run heads are folded (one packed-key sort,
+    :func:`_head_reuse_gaps`), the window is an exact integer solve over
+    their gaps plus the gap-1 repeats (:func:`working_set_window`), and
+    no per-access gap array is built (:func:`working_set_mask`).
 
     This captures what matters for the reproduction: streaming data hits
     only within a line (gap 1), hot vertices with short reuse gaps stay
@@ -450,16 +491,8 @@ class WorkingSetCache:
     def reset(self) -> None:
         """No-op: the model is stateless across runs."""
 
-    def reuse_gaps(self, addrs: np.ndarray) -> np.ndarray:
-        """Per-access reuse time gap; :data:`GAP_COLD` marks a first
-        occurrence (see :func:`reuse_time_gaps`)."""
-        return reuse_time_gaps(addrs, self._line_shift)
-
-    def solve_window(self, gaps: np.ndarray) -> float:
-        """The window W* with average working-set size = cache capacity
-        (:func:`working_set_window`)."""
-        return working_set_window(gaps, self.capacity_lines)
-
     def hit_mask(self, addrs: np.ndarray) -> np.ndarray:
         """Boolean hit mask for one full run's address stream."""
-        return working_set_hits(self.reuse_gaps(addrs), self.capacity_lines)
+        addrs = np.asarray(addrs, dtype=np.int64)
+        head_space = _head_reuse_gaps(addrs, self._line_shift)
+        return working_set_mask(addrs.size, *head_space, self.capacity_lines)

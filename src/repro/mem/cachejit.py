@@ -6,13 +6,14 @@ Two interpreter-bound inner loops live behind this module:
   accesses against Python-list LRU buckets — exact, but slow.  When
   numba is importable, :func:`lru_kernel` compiles the same per-set LRU
   replay over flat int64 state arrays with bit-identical semantics.
-- :func:`repro.mem.cache.reuse_time_gaps` folds an address stream into
-  per-access reuse time gaps.  The numpy fallback is the O(N) run-head
-  radix fold; :func:`reuse_gap_kernel` compiles the textbook single-pass
-  alternative — one pass over the stream against a dense *last-seen
-  table* indexed by line number (:func:`reuse_gaps_py`), the same fold
-  an LRU simulator's bookkeeping would do.  The gap of access *i* is
-  ``i - last_seen[line]`` (or the caller's cold sentinel on a first
+- :func:`repro.mem.cache._head_reuse_gaps` folds an address stream
+  into reuse time gaps at its run heads.  The numpy fallback is the
+  run-head fold (one packed-key sort); :func:`reuse_gap_kernel`
+  compiles the textbook single-pass alternative — one pass over the
+  stream against a dense *last-seen table* indexed by line number
+  (:func:`reuse_gaps_py`), the same fold an LRU simulator's bookkeeping
+  would do — whose gaps are read at the heads.  The gap of access *i*
+  is ``i - last_seen[line]`` (or the caller's cold sentinel on a first
   touch), which is exactly what every fold computes, so the paths are
   bit-identical and ``REPRO_VERIFY_REUSE=1`` holds both to the argsort
   oracle.

@@ -197,47 +197,6 @@ class CostModel:
             phase_seconds=phase_seconds, miss_matrix=miss_matrix
         )
 
-    def price_profile_reference(
-        self, profile, page_tiers: np.ndarray
-    ) -> ProfilePricing:
-        """Scalar oracle for :meth:`price_profile` (parity tests only).
-
-        Walks the CSR rows with the same per-tier scalar arithmetic as
-        replay pricing (:meth:`_tier_seconds`); slow but obviously
-        equivalent to :meth:`phase_cost` given per-(phase, tier) counts.
-        """
-        n_tiers = len(self.tiers)
-        n_phases = profile.n_phases
-        tier_ids = np.asarray(page_tiers, dtype=np.int64)
-        miss_matrix = np.zeros((n_phases, n_tiers), dtype=np.float64)
-        phase_seconds = np.zeros(n_phases, dtype=np.float64)
-        for p in range(n_phases):
-            lo, hi = int(profile.row_ptr[p]), int(profile.row_ptr[p + 1])
-            kind = (
-                AccessKind.RANDOM
-                if profile.phase_is_random[p]
-                else AccessKind.SEQUENTIAL
-            )
-            is_write = bool(profile.phase_is_write[p])
-            for slot in range(lo, hi):
-                miss_matrix[p, int(tier_ids[slot])] += int(profile.counts[slot])
-            seconds = int(profile.phase_n[p]) * self.compute_ns_per_access * 1e-9
-            tier_times = [
-                self._tier_seconds(
-                    self.tiers[t], int(miss_matrix[p, t]), kind, is_write
-                )
-                for t in range(n_tiers)
-                if miss_matrix[p, t] > 0
-            ]
-            if tier_times:
-                seconds += (
-                    max(tier_times) if self.concurrent_tiers else sum(tier_times)
-                )
-            phase_seconds[p] = seconds
-        return ProfilePricing(
-            phase_seconds=phase_seconds, miss_matrix=miss_matrix
-        )
-
     def _tier_seconds(
         self, tier: MemoryTier, n_miss: int, kind: AccessKind, is_write: bool
     ) -> float:

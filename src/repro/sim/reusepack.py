@@ -14,10 +14,11 @@ gaps in program order (the output of
 while the stream stays dense, the fold's last-seen table so the next
 chunk arrives by :meth:`ReuseProfile.extend` instead of a refold.
 
-Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` runs the
-*same* solve and compare as ``WorkingSetCache.hit_mask``
-(:func:`repro.mem.cache.working_set_hits`), and
-a chunked fold equals the one-shot fold of the concatenated stream.
+Bit-exactness is the contract: :meth:`ReuseProfile.hit_mask` reads the
+run heads (gap not 1) off its gaps and runs the *same* head-space solve
+and compare as ``WorkingSetCache.hit_mask``
+(:func:`repro.mem.cache.working_set_mask`), and a chunked fold equals
+the one-shot fold of the concatenated stream.
 ``REPRO_VERIFY_REUSE=1`` re-checks the second half at runtime: every
 chained streaming fold is compared with a one-shot refold
 (``reuse.parity_checks`` / ``reuse.parity_failures``, :class:`TraceError`
@@ -39,7 +40,7 @@ from repro.mem.cache import (
     WorkingSetCache,
     dense_table_span,
     reuse_time_gaps,
-    working_set_hits,
+    working_set_mask,
 )
 from repro.obs.metrics import process_metrics
 
@@ -157,9 +158,12 @@ class ReuseProfile:
         """Boolean hit mask for a working-set LLC of ``capacity_lines``.
 
         Bit-exact with :meth:`WorkingSetCache.hit_mask` on the same
-        address stream — the same window solve, the same compares.
+        address stream: the same head-space solve and compares.
         """
-        return working_set_hits(self.gaps, capacity_lines)
+        positions = np.flatnonzero(self.gaps != 1)
+        return working_set_mask(
+            self.n, positions, self.gaps[positions], capacity_lines
+        )
 
     def hit_mask_for(self, llc) -> np.ndarray:
         """Derive ``llc.hit_mask(...)`` without touching the trace.

@@ -18,6 +18,7 @@ from repro.mem.cache import (
     VERIFY_REUSE_ENV,
     DirectMappedCache,
     SetAssociativeCache,
+    WorkingSetCache,
     _argsort_reuse_gaps,
     dense_table_span,
     reuse_time_gaps,
@@ -407,7 +408,7 @@ def _line_streams(top):
 
 
 class TestRunHeadFold:
-    """The numpy O(N) fold (no numba) against the argsort oracle."""
+    """The numpy head-space fold (no numba) against the argsort oracle."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -416,10 +417,10 @@ class TestRunHeadFold:
     @pytest.mark.parametrize(
         "top",
         [
-            1 << 12,  # one radix pass
-            1 << 23,  # line span above 2^16: two passes
-            1 << 39,  # line span above 2^32: three passes
-            (1 << 62) - 1,  # sparse 62-bit addresses: four passes
+            1 << 12,  # small line span
+            1 << 23,  # line span above 2^16, like the figure traces
+            1 << 39,  # line span above 2^32
+            (1 << 62) - 1,  # sparse 62-bit addresses: wide packed keys
         ],
     )
     @given(data=st.data())
@@ -459,9 +460,9 @@ class TestRunHeadFold:
         honest = cache_module._run_head_reuse_gaps
 
         def _broken(addrs, line_shift):
-            gaps = honest(addrs, line_shift)
-            gaps[-1] = 1  # sabotage one gap
-            return gaps
+            positions, gaps = honest(addrs, line_shift)
+            gaps[-1] = 1  # sabotage one head gap
+            return positions, gaps
 
         monkeypatch.setattr(cache_module, "_run_head_reuse_gaps", _broken)
         monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
@@ -470,4 +471,99 @@ class TestRunHeadFold:
         addrs = np.array([0, LINE_SIZE, 0], dtype=np.int64)
         with pytest.raises(TraceError, match="diverged"):
             reuse_time_gaps(addrs)
+        assert counters["reuse.parity_failures"] == failures + 1
+
+    @pytest.mark.parametrize("key_bits", [64, 65])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_packed_key_boundary(self, key_bits, data):
+        """Keys of exactly 64 bits take the packed sort; 65 the argsort."""
+        index_bits = data.draw(st.integers(8, 9))
+        span_bits = key_bits - index_bits  # at most 57: lines of int64 addrs
+        heads = data.draw(
+            st.integers((1 << (index_bits - 1)) + 1, 1 << index_bits)
+        )
+        top = data.draw(st.integers(1 << (span_bits - 1), (1 << span_bits) - 1))
+        extra = data.draw(st.lists(st.integers(0, top), max_size=6))
+        pool = sorted({0, top, *extra})  # distinct lines
+        picks = data.draw(
+            st.lists(
+                st.integers(0, len(pool) - 1), min_size=heads, max_size=heads
+            )
+        )
+        picks[:2] = [0, len(pool) - 1]  # the span's ends are always touched
+        for i in range(1, heads):  # one run per pick: no equal neighbours
+            if picks[i] == picks[i - 1]:
+                picks[i] = (picks[i] + 1) % len(pool)
+        repeats = data.draw(
+            st.lists(st.integers(1, 3), min_size=heads, max_size=heads)
+        )
+        lines = np.repeat(np.array(pool, dtype=np.int64)[picks], repeats)
+        addrs = (lines << 6) + data.draw(st.integers(0, LINE_SIZE - 1))
+        width = int(lines.max() - lines.min()).bit_length()
+        assert np.count_nonzero(lines[1:] != lines[:-1]) + 1 == heads
+        assert width + (heads - 1).bit_length() == key_bits
+        sorts = []
+        honest_argsort = np.argsort
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                np,
+                "argsort",
+                lambda *a, **k: sorts.append(1) or honest_argsort(*a, **k),
+            )
+            positions, gaps = cache_module._run_head_reuse_gaps(addrs, 6)
+        assert len(sorts) == (key_bits > 64)
+        full = np.ones(addrs.size, dtype=np.int64)
+        full[positions] = gaps
+        assert np.array_equal(full, _argsort_reuse_gaps(addrs >> 6))
+
+
+class TestMaskParityOracle:
+    """``REPRO_VERIFY_REUSE=1`` checks the fold behind every mask."""
+
+    @pytest.fixture(autouse=True)
+    def verified(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "reuse_gap_kernel", lambda: None)
+        monkeypatch.setenv(VERIFY_REUSE_ENV, "1")
+
+    def test_honest_mask_passes_and_stays_in_head_space(self, monkeypatch):
+        honest = cache_module._run_head_reuse_gaps
+        folds = []
+
+        def _counted(addrs, line_shift):
+            folds.append(addrs.size)
+            return honest(addrs, line_shift)
+
+        def _no_full_gaps(*args):
+            raise AssertionError("a verified mask built full reuse gaps")
+
+        monkeypatch.setattr(cache_module, "_run_head_reuse_gaps", _counted)
+        monkeypatch.setattr(cache_module, "reuse_time_gaps", _no_full_gaps)
+        counters = process_metrics().counters
+        checks = counters.get("reuse.parity_checks", 0.0)
+        failures = counters.get("reuse.parity_failures", 0.0)
+        addrs = np.random.default_rng(9).integers(0, 1 << 16, size=2_000)
+        hits = WorkingSetCache(16 * LINE_SIZE).hit_mask(addrs)
+        assert folds == [addrs.size]
+        assert counters["reuse.parity_checks"] == checks + 1
+        assert counters.get("reuse.parity_failures", 0.0) == failures
+        monkeypatch.delenv(VERIFY_REUSE_ENV)
+        assert np.array_equal(
+            hits, WorkingSetCache(16 * LINE_SIZE).hit_mask(addrs)
+        )
+
+    def test_sabotaged_mask_fold_raises(self, monkeypatch):
+        honest = cache_module._run_head_reuse_gaps
+
+        def _broken(addrs, line_shift):
+            positions, gaps = honest(addrs, line_shift)
+            gaps[-1] = 2  # sabotage one head gap
+            return positions, gaps
+
+        monkeypatch.setattr(cache_module, "_run_head_reuse_gaps", _broken)
+        counters = process_metrics().counters
+        failures = counters.get("reuse.parity_failures", 0.0)
+        addrs = np.array([0, LINE_SIZE, 0, 2 * LINE_SIZE], dtype=np.int64)
+        with pytest.raises(TraceError, match="diverged"):
+            WorkingSetCache(16 * LINE_SIZE).hit_mask(addrs)
         assert counters["reuse.parity_failures"] == failures + 1

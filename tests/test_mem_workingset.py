@@ -10,8 +10,19 @@ from repro.mem.cache import (
     LINE_SIZE,
     SetAssociativeCache,
     WorkingSetCache,
+    reuse_time_gaps,
+    working_set_mask,
     working_set_window,
 )
+
+
+def working_set_hits(gaps, capacity_lines):
+    """The full-gap mask the head-space mask replaced: one gap per
+    access, one solve, one compare.  Kept here as the reference."""
+    window = working_set_window(gaps, capacity_lines)
+    if np.isinf(window):
+        return gaps < GAP_COLD
+    return gaps <= window
 
 
 def sorted_curve_window(gaps, capacity_lines):
@@ -36,19 +47,16 @@ def sorted_curve_window(gaps, capacity_lines):
 
 class TestReuseGaps:
     def test_first_occurrences_are_max(self):
-        cache = WorkingSetCache(1024)
-        gaps = cache.reuse_gaps(np.array([0, 64, 128]))
+        gaps = reuse_time_gaps(np.array([0, 64, 128]))
         assert (gaps == np.iinfo(np.int64).max).all()
 
     def test_gap_counts_time_not_distinct(self):
-        cache = WorkingSetCache(1024)
-        gaps = cache.reuse_gaps(np.array([0, 64, 64, 0]))
+        gaps = reuse_time_gaps(np.array([0, 64, 64, 0]))
         assert gaps[2] == 1  # immediate reuse
         assert gaps[3] == 3  # three accesses since the previous line-0 touch
 
     def test_same_line_different_offset(self):
-        cache = WorkingSetCache(1024)
-        gaps = cache.reuse_gaps(np.array([0, 8]))
+        gaps = reuse_time_gaps(np.array([0, 8]))
         assert gaps[1] == 1
 
 
@@ -61,15 +69,13 @@ class TestSolveWindow:
         assert hits.tolist() == [False, False] + [True] * 14
 
     def test_window_covers_all_finite_gaps_when_footprint_fits(self):
-        cache = WorkingSetCache(64 * LINE_SIZE)
-        gaps = cache.reuse_gaps(np.array([0, 64, 0, 64] * 4))
-        window = cache.solve_window(gaps)
+        gaps = reuse_time_gaps(np.array([0, 64, 0, 64] * 4))
+        window = working_set_window(gaps, 64)
         finite = gaps[gaps < np.iinfo(np.int64).max]
         assert window >= finite.max()
 
     def test_empty_stream(self):
-        cache = WorkingSetCache(1024)
-        assert np.isinf(cache.solve_window(np.empty(0, dtype=np.int64)))
+        assert np.isinf(working_set_window(np.empty(0, dtype=np.int64), 16))
 
 
 class TestHistogramSolve:
@@ -116,11 +122,103 @@ class TestHistogramSolve:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_sorted_curve_on_streams(self, addrs, capacity):
-        cache = WorkingSetCache(capacity * LINE_SIZE)
-        gaps = cache.reuse_gaps(np.array(addrs, dtype=np.int64))
-        window = cache.solve_window(gaps)
+        gaps = reuse_time_gaps(np.array(addrs, dtype=np.int64))
+        window = working_set_window(gaps, capacity)
         want = sorted_curve_window(gaps, capacity)
         assert window == want or (np.isinf(window) and np.isinf(want))
+
+
+class TestHeadSpace:
+    """The head-space solve and mask against their full-gap references."""
+
+    @staticmethod
+    def _same_mask(addrs, capacity_lines):
+        addrs = np.array(addrs, dtype=np.int64)
+        cache = WorkingSetCache(LINE_SIZE)
+        cache.capacity_lines = capacity_lines  # 0 is below any geometry
+        got = cache.hit_mask(addrs)
+        want = working_set_hits(reuse_time_gaps(addrs), capacity_lines)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    @given(
+        addrs=st.lists(st.integers(0, 1 << 12), max_size=300),
+        capacity=st.integers(0, 80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mask_matches_full_gap_reference(self, addrs, capacity):
+        self._same_mask(addrs, capacity)
+
+    def test_window_below_one_misses_repeats(self):
+        # W* = C = 0: even gap-1 repeats within a line must miss.
+        addrs = [0, 8, 16, LINE_SIZE, LINE_SIZE + 8, 0]
+        assert working_set_window(reuse_time_gaps(np.array(addrs)), 0) == 0.0
+        assert not self._same_mask(addrs, 0).any()
+
+    def test_infinite_window_hits_every_reuse(self):
+        # No cold head and C * T beyond f(max gap): W* is inf (a real
+        # stream always has a cold first access, so only here).
+        positions = np.array([1, 3], dtype=np.int64)
+        gaps = np.array([3, 2], dtype=np.int64)
+        expanded = np.ones(5, dtype=np.int64)
+        expanded[positions] = gaps
+        assert np.isinf(working_set_window(gaps, 8, repeats=3))
+        hits = working_set_mask(5, positions, gaps, 8)
+        np.testing.assert_array_equal(hits, working_set_hits(expanded, 8))
+        assert hits.all()
+
+    @given(
+        data=st.data(),
+        head_gaps=st.lists(
+            st.one_of(st.integers(2, 200), st.just(GAP_COLD)), max_size=100
+        ),
+        repeats=st.integers(0, 100),
+        capacity=st.integers(0, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_head_space_mask_matches_expanded(
+        self, data, head_gaps, repeats, capacity
+    ):
+        n = len(head_gaps) + repeats
+        positions = np.array(
+            data.draw(st.permutations(range(n)))[: len(head_gaps)],
+            dtype=np.int64,
+        )
+        gaps = np.array(head_gaps, dtype=np.int64)
+        expanded = np.ones(n, dtype=np.int64)
+        expanded[positions] = gaps
+        np.testing.assert_array_equal(
+            working_set_mask(n, positions, gaps, capacity),
+            working_set_hits(expanded, capacity),
+        )
+
+    def test_capacity_one(self):
+        # W* = 1: repeats hit, every head (gap >= 2 or cold) misses.
+        addrs = [0, 8, LINE_SIZE, LINE_SIZE + 8, 0, 0]
+        hits = self._same_mask(addrs, 1)
+        assert hits.tolist() == [False, True, False, True, False, True]
+
+    def test_empty_and_single_access(self):
+        assert self._same_mask([], 4).size == 0
+        assert self._same_mask([64], 4).tolist() == [False]
+        assert self._same_mask([64], 0).tolist() == [False]
+
+    @given(
+        head_gaps=st.lists(
+            st.one_of(st.integers(2, 500), st.just(GAP_COLD)), max_size=300
+        ),
+        repeats=st.integers(0, 300),
+        capacity=st.integers(0, 600),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_with_repeats_matches_expanded_gaps(
+        self, head_gaps, repeats, capacity
+    ):
+        heads = np.array(head_gaps, dtype=np.int64)
+        expanded = np.concatenate([heads, np.ones(repeats, dtype=np.int64)])
+        got = working_set_window(heads, capacity, repeats)
+        want = working_set_window(expanded, capacity)
+        assert got == want or (np.isinf(got) and np.isinf(want))
 
 
 class TestHitMask:
