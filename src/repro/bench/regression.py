@@ -150,9 +150,9 @@ def _suspect_cause(row: dict, serial_row: dict | None, wall: float) -> str:
     causes: list[str] = []
     if cold > 0 and store_hits == 0:
         causes.append(
-            f"all {cold} cells cold with distinct trace keys: the "
-            "primer-wave schedule degenerates to one ordered wave, so "
-            "no worker ever reuses another's store entry mid-run"
+            f"all {cold} cells ran cold with no store hits: their trace "
+            "keys were never primed, so every cell built its own "
+            "artifacts"
         )
     if serial_row is not None:
         serial_stages = _stage_seconds(serial_row)

@@ -35,10 +35,9 @@ injected faults with a hang watchdog armed.
 Data-plane knobs (flags export the matching environment variable):
 
 - ``--trace-store DIR`` (``REPRO_TRACE_STORE``) — persistent mmap store
-  of traces and LLC hit masks, shared across workers and sessions;
-- ``--schedule {cache,fifo}`` (``REPRO_POOL_SCHEDULE``) — pool dispatch
-  policy: ``cache`` primes the store before fanning out, ``fifo`` is
-  plain submission order;
+  of traces, LLC hit masks and miss profiles, shared across workers and
+  sessions; with a store armed, the pool primes every store-cold key
+  through its staged trace → fold pipeline before fanning cells out;
 - ``REPRO_CACHE_BYTES`` — combined disk budget over the trace store and
   the graph cache (``REPRO_GRAPH_CACHE``); ``REPRO_GRAPH_SHM=0``
   disables shared-memory graph segments.
@@ -535,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default: disabled)",
     )
     rep_p.add_argument(
-        "--schedule", choices=("cache", "fifo"), default=None,
-        help="pool dispatch policy (sets REPRO_POOL_SCHEDULE; default: cache "
-             "— prime the trace store, then fan out longest-first)",
-    )
-    rep_p.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a span timeline to PATH as JSONL (sets REPRO_TRACE; "
              "convert with `repro trace`)",
@@ -726,10 +720,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.cachebudget import TRACE_STORE_ENV
 
         os.environ[TRACE_STORE_ENV] = args.trace_store
-    if getattr(args, "schedule", None):
-        from repro.sim.parallel import SCHEDULE_ENV
-
-        os.environ[SCHEDULE_ENV] = args.schedule
     if getattr(args, "trace", None):
         from repro.obs.tracer import TRACE_ENV
 

@@ -41,16 +41,14 @@ completion-driven so a key's fold starts the moment its trace lands and
 its cells dispatch store-warm right after.  Cold-stage concurrency is
 **admission-clamped** to the machine (``REPRO_POOL_CPUS``, default the
 CPU count) and to the worker memory budget (``REPRO_WORKER_BYTES`` over
-the largest projected trace); when the clamp admits a single lane the
-parent primes keys in-process instead of paying fork and store
-round-trips for serialised work.  The warm remainder then fans out
-longest-expected-first.  ``REPRO_POOL_SCHEDULE=fifo`` restores plain
-submission order.  The parent also pre-builds every referenced dataset
-and publishes its CSR arrays as read-only shared-memory segments
-(:mod:`repro.graph.shm`), released in a ``finally`` even when workers
-crash.  Per-job cache telemetry (cold / warm / warm-from-store), the
-admission decision, and peak worker RSS land in :class:`PoolHealth` and
-the ``BENCH_parallel.json`` records.
+the largest projected trace); a clamp of one is the same pipeline run
+one stage at a time.  Every cell then fans out in one
+longest-expected-first wave.  The parent also pre-builds every
+referenced dataset and publishes its CSR arrays as read-only
+shared-memory segments (:mod:`repro.graph.shm`), released in a
+``finally`` even when workers crash.  Per-job cache telemetry (cold /
+warm / warm-from-store), the admission decision, and peak worker RSS
+land in :class:`PoolHealth` and the ``BENCH_parallel.json`` records.
 
 Determinism: every job runs :func:`execute_job`, which seeds NumPy's
 global RNG from the spec's content hash before executing, and all model
@@ -134,10 +132,6 @@ JOB_BACKOFF_ENV = "REPRO_JOB_BACKOFF"
 #: How long an injected ``pool.hang`` sleeps when the spec has no param.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: Dispatch policy: ``cache`` (default, primer waves + longest-first)
-#: or ``fifo`` (plain submission order).
-SCHEDULE_ENV = "REPRO_POOL_SCHEDULE"
-
 #: CPU count the cold-admission clamp believes in (default: the machine's).
 #: Overridable so tests can exercise the multicore staged DAG on one core
 #: and the bench harness can pin a reproducible width.
@@ -165,18 +159,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
     return 1
-
-
-def pool_schedule() -> str:
-    """The dispatch policy from ``REPRO_POOL_SCHEDULE`` (default ``cache``)."""
-    raw = os.environ.get(SCHEDULE_ENV, "").strip().lower()
-    if raw in ("", "cache"):
-        return "cache"
-    if raw == "fifo":
-        return "fifo"
-    raise ConfigurationError(
-        f"{SCHEDULE_ENV} must be 'cache' or 'fifo', got {raw!r}"
-    )
 
 
 def pool_cpus() -> int:
@@ -640,11 +622,10 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
     Observability contract: the worker's obs state is **reset at entry**
     (fork-inherited parent buffers must not double-ship) and **drained at
     exit** into the payload's final element — events, metric deltas, and
-    spans — which the parent absorbs in ``_settle``.  The ``ok`` payload
-    also carries the job's cache-use classification (cold / store / warm)
-    as both a tuple element and a buffered ``pool.cache_use`` event, so
-    parent-side health accounting comes from worker-buffered events
-    rather than parent mutation.
+    spans — which the parent absorbs in ``_settle``.  The job's cache-use
+    classification (cold / store / warm) rides home as a buffered
+    ``pool.cache_use`` event, so parent-side health accounting comes from
+    worker-buffered events rather than parent mutation.
 
     ``ctx`` is the submitting span's context dict (when tracing is on):
     activated on the fresh tracer, it re-parents every span this job
@@ -684,7 +665,7 @@ def _pool_entry(spec: JobSpec, attempt: int = 0, ctx: dict | None = None):
             _emit_worker_rss()
             blob = drain_all()
             _flush_worker_sidecar(blob)
-            return ("ok", result, kind, blob)
+            return ("ok", result, blob)
     except Exception as exc:  # noqa: BLE001 — re-raised with spec in parent
         blob = drain_all()
         _flush_worker_sidecar(blob)
@@ -758,40 +739,37 @@ def _registered_app(spec: JobSpec):
     return app, system
 
 
-def _stage_build_trace(
-    spec: JobSpec, cache: TraceCache | None = None, *, handoff: bool = True
-) -> None:
+def _stage_build_trace(spec: JobSpec) -> None:
     """DAG stage 1: build one cold key's trace and land it in the store.
 
-    With ``handoff`` (the DAG default) the explicit ``save_trace`` is
-    coordination, not economics: the fold stage may run in a different
-    worker, so the trace must be on disk whatever the adaptive write
-    policy would have chosen.  (``TraceStore.save_*`` are unconditional;
-    the policy lives in the cache's save gates.)  The single-lane serial
-    primer passes ``handoff=False`` — build and fold share one cache, so
-    persisting the raw trace is pure warm-start economics and is left to
-    the policy inside ``cache.trace`` (skipping a multi-GB write the
-    workers can rebuild in milliseconds is exactly its job).
+    Both stages work through a memory-less cache (``max_traces=0``): the
+    artifacts' home is the store, so nothing a stage builds stays
+    resident in the worker afterwards (one key deep, however many stages
+    the worker runs), and entries the worker inherited from the parent's
+    cache through fork cannot stand in for a store write.  The cache
+    persists the trace it builds; the explicit ``save_trace`` (a no-op
+    once the entry is committed) covers the one case it does not — a
+    lease loser that built in memory after a failed wait — since the
+    fold stage may run in a different worker and loads from disk.
     """
-    cache = process_trace_cache() if cache is None else cache
+    cache = TraceCache(max_traces=0)
     key = spec.trace_key()
     app, _ = _registered_app(spec)
     trace = cache.trace(key, app.run_once)
-    store = cache.store
-    if handoff and store is not None and not store.has_trace(key):
-        store.save_trace(key, trace)
+    if cache.store is not None:
+        cache.store.save_trace(key, trace)
 
 
-def _stage_fold_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
+def _stage_fold_artifacts(spec: JobSpec) -> None:
     """DAG stage 2: derive one cold key's fold artifacts from its trace.
 
     Loads the trace back (a shared mmap when stage 1 persisted it in this
     store, a rebuild otherwise) and folds the LLC hit mask and page miss
-    profile through the cache, which persists each one under the
-    adaptive write policy.  After this stage the key's
-    cells dispatch store-warm.
+    profile through a memory-less cache (see :func:`_stage_build_trace`),
+    which persists each one.  After this stage the key's cells dispatch
+    store-warm.
     """
-    cache = process_trace_cache() if cache is None else cache
+    cache = TraceCache(max_traces=0)
     key = spec.trace_key()
 
     def builder():
@@ -802,18 +780,6 @@ def _stage_fold_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> Non
     trace = cache.trace(key, builder)
     hits = cache.hit_mask(key, system.llc, trace)
     cache.profile(key, system.llc, trace, hits)
-
-
-def prime_artifacts(spec: JobSpec, cache: TraceCache | None = None) -> None:
-    """Build one spec's full artifact lattice in the current process.
-
-    Equivalent to running both DAG stages back to back; the single-lane
-    cold path uses it to prime keys in-parent before fanning cells out.
-    Both stages share ``cache``, so no store handoff is forced — the
-    adaptive write policy decides which artifacts are worth persisting.
-    """
-    _stage_build_trace(spec, cache, handoff=False)
-    _stage_fold_artifacts(spec, cache)
 
 
 def _stage_entry(
@@ -845,7 +811,7 @@ def _stage_entry(
             _emit_worker_rss()
             blob = drain_all()
             _flush_worker_sidecar(blob)
-            return ("ok", None, None, blob)
+            return ("ok", None, blob)
     except Exception as exc:  # noqa: BLE001 — reported best-effort in parent
         blob = drain_all()
         _flush_worker_sidecar(blob)
@@ -861,8 +827,6 @@ class _ColdPlan:
 
     #: One representative (heaviest) job per store-cold trace key.
     jobs_by_key: dict
-    #: Projected peak resident bytes of the largest single priming job.
-    projected_bytes: int
     #: Cold-stage concurrency after the admission clamp.
     admitted: int
 
@@ -907,11 +871,6 @@ class ExperimentPool:
         #: (kept after release, so tests can assert they were unlinked).
         self.last_segments: list[str] = []
         self._executor: ProcessPoolExecutor | None = None
-        #: Trace keys whose artifact lattice the cold pipeline completed
-        #: this run.  Tracked separately from ``store.has_trace`` because
-        #: the adaptive write policy may prime a key without persisting
-        #: its raw trace.
-        self._primed_keys: set = set()
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[JobSpec]) -> list:
@@ -919,7 +878,6 @@ class ExperimentPool:
         specs = list(specs)
         self.health = PoolHealth()
         self.last_segments = []
-        self._primed_keys = set()
         if not specs:
             self.last_mode = "empty"
             return []
@@ -997,6 +955,12 @@ class ExperimentPool:
     ) -> None:
         """Drive the executor until every job finishes or the pool gives up.
 
+        Store-cold keys are primed through the staged DAG first (with as
+        many stages in flight as admission allows, one included); then
+        every cell goes out in one longest-expected-first wave, so the
+        critical path starts early.  Dispatch order never changes
+        results — they stay indexed by submission order.
+
         Leaves unfinished jobs for the serial path instead of raising on
         pool-level failures; only a job that exhausts its own retry
         budget raises.
@@ -1004,40 +968,35 @@ class ExperimentPool:
         timeout = job_timeout()
         retries = job_retries()
         max_restarts = retries + 2
-        plan = self._cold_plan(jobs, workers)
-        if plan is not None and plan.admitted <= 1:
-            # One admitted cold lane: a separate process would do the same
-            # serial work with fork and store round-trips on top, so the
-            # parent primes the keys directly — and because workers fork
-            # from this process, the freshly calibrated write policy (and
-            # the hottest cache entries) are inherited copy-on-write.
-            self._prime_serially(plan)
+        wave = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
+        plan = self._cold_plan(wave, workers)
         try:
             self._executor = self._make_executor(workers)
         except (OSError, ValueError, PermissionError):
             return
         self.last_mode = f"parallel[{workers}]"
         try:
-            if plan is not None and plan.admitted > 1:
-                if not self._drive_dag(plan, workers, timeout):
-                    return
-            for wave in self._dispatch_waves(jobs):
-                if not self._drive_wave(
-                    wave, results, done, workers, timeout, retries, max_restarts
-                ):
-                    return
+            if plan is not None and not self._drive_dag(plan, workers, timeout):
+                return
+            self._drive_wave(
+                wave, results, done, workers, timeout, retries, max_restarts
+            )
         finally:
             if self._executor is not None:
                 self._kill_executor(self._executor)
                 self._executor = None
 
-    def _cold_plan(self, jobs: list[_Job], workers: int) -> _ColdPlan | None:
+    def _cold_plan(self, ordered: list[_Job], workers: int) -> _ColdPlan | None:
         """Derive the cold pipeline's plan: which keys, and how wide.
+
+        ``ordered`` is the dispatch wave (heaviest first), so each cold
+        key is represented by its heaviest job and primed in that order.
 
         A key is *cold* when the store has no entry for it at all
         (:meth:`repro.sim.tracestore.TraceStore.has_entry`) — a key with
-        any committed artifact was primed by an earlier run, and whatever
-        the write policy left out is rebuild-cheap by construction.
+        any committed artifact was primed by an earlier run, and its cells
+        rebuild whatever was since evicted or rejected under the
+        single-flight leases.
 
         Cold stages hold a whole trace plus its fold state resident, so
         admitted concurrency is clamped to the machine (:func:`pool_cpus`)
@@ -1046,19 +1005,16 @@ class ExperimentPool:
         dispatch keeps the full worker count, because warm cells stream
         artifacts from the store instead of materialising them.
         """
-        if pool_schedule() == "fifo":
-            return None
         store = process_trace_store()
         if store is None:
             return None
-        ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
         cold: dict = {}
         for job in ordered:
             spec = job.spec
             if spec.app is None:
                 continue
             key = spec.trace_key()
-            if key in cold or key in self._primed_keys or store.has_entry(key):
+            if key in cold or store.has_entry(key):
                 continue
             cold[key] = job
         if not cold:
@@ -1082,33 +1038,7 @@ class ExperimentPool:
             f"budget {budget >> 20} MiB)",
             source="pool",
         )
-        return _ColdPlan(
-            jobs_by_key=cold, projected_bytes=projected, admitted=admitted
-        )
-
-    def _prime_serially(self, plan: _ColdPlan) -> None:
-        """Prime every cold key in-parent when admission allows one lane.
-
-        Uses a throwaway single-entry cache so the parent's resident set
-        stays one key deep — the artifacts' home is the store, and the
-        point of the exercise is keeping peak RSS bounded.  Priming is
-        best effort: a failed key is noted and left for its cells to
-        rebuild.
-        """
-        cache = TraceCache(max_traces=1)
-        with span("pool.prime_serial", cat="pool", keys=len(plan.jobs_by_key)):
-            for key, job in plan.jobs_by_key.items():
-                try:
-                    prime_artifacts(job.spec, cache)
-                except Exception as exc:  # noqa: BLE001 — best-effort priming
-                    process_bus().emit(
-                        "pool.note",
-                        f"serial prime failed for job {job.index} "
-                        f"({type(exc).__name__}: {exc}); cells will rebuild",
-                        source="pool",
-                    )
-                    continue
-                self._primed_keys.add(key)
+        return _ColdPlan(jobs_by_key=cold, admitted=admitted)
 
     def _drive_dag(
         self, plan: _ColdPlan, workers: int, timeout: float | None
@@ -1167,9 +1097,7 @@ class ExperimentPool:
                             f"pool died mid-stage ({type(exc).__name__})",
                             workers,
                         )
-                    blob = payload[-1] if isinstance(payload[-1], dict) else None
-                    if blob is not None:
-                        absorb_all(blob)
+                    absorb_all(payload[-1])
                     if payload[0] != "ok":
                         process_bus().emit(
                             "pool.note",
@@ -1181,8 +1109,6 @@ class ExperimentPool:
                         continue
                     if stage == "trace":
                         queue.insert(0, ("fold", key, job))
-                    else:
-                        self._primed_keys.add(key)
         return True
 
     def _abandon_dag(self, reason: str, workers: int) -> bool:
@@ -1202,48 +1128,6 @@ class ExperimentPool:
             return False
         return True
 
-    def _dispatch_waves(self, jobs: list[_Job]) -> list[list[_Job]]:
-        """Split the batch into dispatch waves.
-
-        Under the default ``cache`` schedule jobs go out
-        longest-expected-first (so the critical path starts early), and
-        when the persistent store is armed, a first wave runs exactly one
-        *primer* job per store-cold trace key: siblings sharing that key
-        then load the trace from the store instead of all recomputing it
-        side by side.  ``fifo`` (or a trivial batch) is one wave in
-        submission order.  Waves only order dispatch — results stay
-        indexed by submission order and are bit-identical regardless.
-        """
-        if len(jobs) <= 1 or pool_schedule() == "fifo":
-            return [jobs]
-        ordered = sorted(jobs, key=lambda j: (-j.spec.expected_cost(), j.index))
-        store = process_trace_store()
-        if store is None:
-            return [ordered]
-        primers: list[_Job] = []
-        rest: list[_Job] = []
-        primed: set = set()
-        for job in ordered:
-            key = job.spec.trace_key()
-            if (
-                job.spec.app is None
-                or key in primed
-                or key in self._primed_keys
-                or store.has_entry(key)
-            ):
-                rest.append(job)
-                continue
-            primed.add(key)
-            primers.append(job)
-        if not primers or not rest:
-            return [ordered]
-        process_bus().emit(
-            "pool.note",
-            f"priming store for {len(primers)} cold trace key(s) before fan-out",
-            source="pool",
-        )
-        return [primers, rest]
-
     def _drive_wave(
         self,
         wave: list[_Job],
@@ -1253,8 +1137,8 @@ class ExperimentPool:
         timeout: float | None,
         retries: int,
         max_restarts: int,
-    ) -> bool:
-        """Run one wave to completion; ``False`` defers to the serial path."""
+    ) -> None:
+        """Run the wave to completion, or leave the rest to the serial path."""
         while not all(done[job.index] for job in wave):
             pending = [job for job in wave if not done[job.index]]
             futures = {
@@ -1314,7 +1198,7 @@ class ExperimentPool:
                     "finishing remaining jobs serially",
                     source="pool",
                 )
-                return False
+                return
             try:
                 self._executor = self._make_executor(workers)
             except (OSError, ValueError, PermissionError):
@@ -1324,8 +1208,7 @@ class ExperimentPool:
                     "finishing remaining jobs serially",
                     source="pool",
                 )
-                return False
-        return True
+                return
 
     def _settle(
         self, job: _Job, payload: tuple, results: list, done: list[bool], retries: int
@@ -1338,17 +1221,10 @@ class ExperimentPool:
         even when the same worker process served many jobs or died in
         between — each job drains its own delta at the worker side.
         """
-        blob = payload[-1] if isinstance(payload[-1], dict) else None
-        if blob is not None:
-            absorb_all(blob)
+        absorb_all(payload[-1])
         if payload[0] == "ok":
             results[job.index] = payload[1]
             done[job.index] = True
-            if blob is None:
-                # Legacy payload without an obs blob: classify directly.
-                self.health.tally_cache_use(
-                    payload[2] if len(payload) > 2 else None
-                )
             return
         kind, message, worker_tb = payload[1], payload[2], payload[3]
         job.attempt += 1

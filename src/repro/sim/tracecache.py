@@ -40,10 +40,10 @@ becomes an in-process LRU *view* over the shared on-disk
 :class:`repro.sim.tracestore.TraceStore`.  A memory miss consults the
 store before running the builder; store hits arrive as read-only
 ``mmap`` views whose pages are shared by every worker process and across
-sessions, and fresh artifacts are written back atomically so sibling
-workers (and the next session) skip the work entirely.  Results stay
-bit-identical either way — the store holds exactly the bytes the builder
-would produce.
+sessions, and every artifact the cache builds — trace, hit mask,
+profile — is written back atomically so sibling workers (and the next
+session) skip the work entirely.  Results stay bit-identical either
+way — the store holds exactly the bytes the builder would produce.
 
 **Integrity:** every cached trace carries a CRC32 content checksum taken
 at insertion, and store entries are CRC-verified once per process at
@@ -298,12 +298,12 @@ class TraceCache:
         Store-cold builds run under the ``trace`` single-flight lease so
         two workers reaching the same cold key never generate (and
         persist) the same trace concurrently: the loser waits, then
-        adopts the committed entry — or builds in-memory when the winner
-        skipped persistence under the write policy.
+        adopts the committed entry — or builds in-memory when nothing
+        landed (the winner died or its save failed).
         """
         store = self.store
         if store is None:
-            return self._build_trace(key, builder)[0]
+            return self._build_trace(key, builder)
         trace = store.load_trace(key)
         if trace is not None:
             self.stats.store_trace_hits += 1
@@ -318,23 +318,22 @@ class TraceCache:
                     self.stats.store_trace_hits += 1
                     _count("store_trace_hits")
                     return adopted
-            trace, build_seconds = self._build_trace(key, builder)
-            if isinstance(trace, AccessTrace) and store.should_persist(
-                trace.total_accesses * 8, build_seconds
-            ):
+            trace = self._build_trace(key, builder)
+            if isinstance(trace, AccessTrace):
                 store.save_trace(key, trace)
         return trace
 
     def _build_trace(
         self, key: Hashable, builder: Callable[[], AccessTrace]
-    ) -> tuple[AccessTrace, float]:
+    ) -> AccessTrace:
         """Run the builder under the trace-generation span and timer."""
         started = time.perf_counter()
         with span("cache.build_trace", cat="cache", key=str(key)):
             trace = builder()
-        elapsed = time.perf_counter() - started
-        process_metrics().observe("stage.trace_gen", elapsed)
-        return trace, elapsed
+        process_metrics().observe(
+            "stage.trace_gen", time.perf_counter() - started
+        )
+        return trace
 
     def trace(self, key: Hashable, builder: Callable[[], AccessTrace]) -> AccessTrace:
         """The trace under ``key``, built once via ``builder()``."""
@@ -428,14 +427,8 @@ class TraceCache:
                 with span("cache.build_mask", cat="cache", key=str(key)):
                     mask = llc.hit_mask(self._flat_addrs(key, trace))
                 stage = "stage.hit_mask"
-            fold_seconds = time.perf_counter() - started
-            process_metrics().observe(stage, fold_seconds)
-            # Masks persist on their own merit — the trace may legitimately
-            # be absent (the write policy can skip huge trace payloads while
-            # the 8x-packed mask is still a bargain).
-            if store is not None and store.should_persist(
-                (int(mask.size) + 7) // 8, fold_seconds
-            ):
+            process_metrics().observe(stage, time.perf_counter() - started)
+            if store is not None:
                 store.save_mask(key, llc_sig, mask)
         if masks is not None:
             masks[llc_sig] = mask
@@ -486,13 +479,10 @@ class TraceCache:
             started = time.perf_counter()
             with span("cache.build_profile", cat="cache", key=str(key)):
                 profile = build_profile(trace, hits)
-            fold_seconds = time.perf_counter() - started
-            process_metrics().observe("stage.profile_build", fold_seconds)
-            # Stacked CSR is int64 [2, nnz]; like masks, profiles persist
-            # independently of whether the (much larger) trace did.
-            if store is not None and store.should_persist(
-                16 * profile.nnz, fold_seconds
-            ):
+            process_metrics().observe(
+                "stage.profile_build", time.perf_counter() - started
+            )
+            if store is not None:
                 store.save_profile(key, llc_sig, profile)
         if profiles is not None:
             profiles[llc_sig] = profile

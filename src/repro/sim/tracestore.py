@@ -56,19 +56,11 @@ everything from scratch.  :class:`TraceStore` closes that gap:
   case).  Leases are advisory: losing one never blocks a caller from
   building in-memory, it only stops duplicate *store* work.
 
-- **Write policy** — persisting an artifact is only worth it when the
-  write costs less than the rebuild it saves.  :meth:`TraceStore.
-  should_persist` consults a process-wide EWMA of observed commit
-  throughput and skips writes whose projected cost exceeds
-  ``rebuild_seconds * 0.5`` (``REPRO_STORE_POLICY=always|adaptive|never``
-  overrides).  Small writes (< 4 MiB) always persist — the policy
-  exists to stop multi-hundred-MB folds from drowning the cold path in
-  buffered-write system time, not to starve tests and tiny scales.
-  Throughput is measured *durably*: large commits fsync before the
-  rename and the first large decision is preceded by a one-time 4 MiB
-  fsynced probe, because buffered writes land in the page cache at RAM
-  speed and would teach the EWMA a bandwidth the disk cannot sustain —
-  the deferred writeback then stalls the whole run off-stage.
+- **Writes** — the store persists every artifact it is handed: a key
+  primed once is fully warm afterwards, so reuse is predictable.
+  Commits of 1 MiB or more fsync before the rename, so their writeback
+  is paid on the stage that wrote them instead of stalling the run
+  off-stage later.
 """
 
 from __future__ import annotations
@@ -114,19 +106,10 @@ TRACE_MANIFEST = "trace.json"
 LEASE_TIMEOUT_ENV = "REPRO_LEASE_TIMEOUT"
 DEFAULT_LEASE_TIMEOUT = 30.0
 
-#: Write policy override: ``always`` | ``adaptive`` (default) | ``never``.
-STORE_POLICY_ENV = "REPRO_STORE_POLICY"
-
-#: Writes at or below this size always persist (adaptive mode) — the
-#: policy targets multi-hundred-MB artifact folds, not tiny-scale tests.
-SMALL_WRITE_BYTES = 4 << 20
-
-#: An adaptive write must pay for itself at least twice over: projected
-#: write seconds must not exceed ``rebuild_seconds * WRITE_PAYBACK``.
-WRITE_PAYBACK = 0.5
-
-#: Commit samples below this size are too noisy to inform the EWMA.
-_POLICY_SAMPLE_BYTES = 1 << 20
+#: Commits of at least this many bytes fsync before their rename:
+#: buffered writes land in the page cache at RAM speed, and the deferred
+#: writeback would otherwise stall the whole run off-stage.
+FSYNC_BYTES = 1 << 20
 
 #: Streamed trace commits write at most this many bytes per chunk.
 TRACE_WRITE_CHUNK_BYTES = 32 << 20
@@ -151,57 +134,6 @@ def lease_timeout() -> float:
         if value > 0:
             return value
     return DEFAULT_LEASE_TIMEOUT
-
-
-class _WritePolicy:
-    """Process-wide adaptive write-value policy.
-
-    Tracks an EWMA of observed *durable* commit throughput (bytes per
-    second over the tempfile write + fsync + rename) and answers "is
-    persisting ``nbytes`` worth ``rebuild_seconds``?".  With no samples
-    yet a large write is admitted blind, so :class:`TraceStore` runs a
-    cheap fsynced probe (:meth:`TraceStore._calibrate_policy`) before
-    the first large decision — a multi-hundred-MB artifact must never
-    be the calibration sample on a slow disk.
-    """
-
-    def __init__(self) -> None:
-        self.ewma_bps: float | None = None
-        self.samples = 0
-        #: One-shot probe guard (set even when the probe write fails).
-        self.probed = False
-
-    def observe(self, nbytes: int, seconds: float) -> None:
-        if nbytes < _POLICY_SAMPLE_BYTES or seconds <= 0:
-            return
-        bps = nbytes / seconds
-        self.ewma_bps = (
-            bps if self.ewma_bps is None else 0.5 * self.ewma_bps + 0.5 * bps
-        )
-        self.samples += 1
-
-    def should_persist(
-        self, nbytes: int, rebuild_seconds: float | None
-    ) -> bool:
-        mode = os.environ.get(STORE_POLICY_ENV, "adaptive")
-        if mode == "never":
-            return False
-        if mode != "adaptive" or rebuild_seconds is None:
-            return True
-        if nbytes <= SMALL_WRITE_BYTES:
-            return True
-        if self.ewma_bps is None:
-            return True  # calibration write: measure, then decide
-        projected = nbytes / self.ewma_bps
-        return projected <= rebuild_seconds * WRITE_PAYBACK
-
-
-_WRITE_POLICY = _WritePolicy()
-
-
-def write_policy() -> _WritePolicy:
-    """The per-process adaptive write policy singleton."""
-    return _WRITE_POLICY
 
 
 def store_root() -> Path | None:
@@ -244,8 +176,6 @@ class TraceStoreStats:
     lease_waits: int = 0
     lease_adoptions: int = 0
     lease_reclaims: int = 0
-    #: Writes skipped by the adaptive write-value policy.
-    policy_skips: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -260,7 +190,6 @@ class TraceStoreStats:
             "lease_waits": self.lease_waits,
             "lease_adoptions": self.lease_adoptions,
             "lease_reclaims": self.lease_reclaims,
-            "policy_skips": self.policy_skips,
         }
 
 
@@ -291,63 +220,6 @@ class TraceStore:
         stem = f"profile-{llc_digest(llc_sig)}"
         entry = self.entry_dir(key)
         return entry / f"{stem}.npy", entry / f"{stem}.json"
-
-    # ------------------------------------------------------------------
-    # write policy
-    # ------------------------------------------------------------------
-    def should_persist(
-        self, nbytes: int, rebuild_seconds: float | None = None
-    ) -> bool:
-        """Whether persisting ``nbytes`` is worth ``rebuild_seconds``.
-
-        Consults the process-wide adaptive write policy (see the module
-        docstring).  Callers that skip a save on ``False`` keep the
-        artifact purely in-memory — correctness never depends on the
-        store, only warm-start time does.
-        """
-        if (
-            rebuild_seconds is not None
-            and nbytes > SMALL_WRITE_BYTES
-            and os.environ.get(STORE_POLICY_ENV, "adaptive") == "adaptive"
-        ):
-            self._calibrate_policy()
-        verdict = _WRITE_POLICY.should_persist(nbytes, rebuild_seconds)
-        if not verdict:
-            self.stats.policy_skips += 1
-            process_metrics().inc("store.policy_skips")
-        return verdict
-
-    def _calibrate_policy(self) -> None:
-        """One-time durable-throughput probe before the first large call.
-
-        Writes and fsyncs 4 MiB under the store root, feeds the timing
-        to the policy EWMA, and deletes the file.  Costs well under a
-        second even on a saturated disk; letting a ~190 MB trace write
-        be the blind first sample instead can cost tens of seconds of
-        writeback on a shared host.  Probe failures (read-only root,
-        quota) leave the policy in its admit-blind fallback.
-        """
-        if _WRITE_POLICY.probed or _WRITE_POLICY.ewma_bps is not None:
-            return
-        _WRITE_POLICY.probed = True
-        probe = self.root / f".probe-{os.getpid()}.tmp"
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            started = time.monotonic()
-            with open(probe, "wb") as handle:
-                handle.write(b"\0" * SMALL_WRITE_BYTES)
-                handle.flush()
-                os.fsync(handle.fileno())
-            _WRITE_POLICY.observe(
-                SMALL_WRITE_BYTES, time.monotonic() - started
-            )
-        except OSError:
-            pass
-        finally:
-            try:
-                probe.unlink()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # single-flight leases
@@ -433,8 +305,8 @@ class TraceStore:
         """Wait for another holder's fold; ``True`` when ``done()`` holds.
 
         Polls until the artifact lands (``done()``), the lease file
-        vanishes (released — the winner may have *skipped* persisting
-        under the write policy, so absence does not imply an artifact),
+        vanishes (released — the winner's save may have failed, so
+        absence does not imply an artifact),
         the lease goes stale, or the bounded wait expires.  ``True``
         counts as an adoption: the caller reads the committed artifact
         instead of folding it again.
@@ -574,12 +446,12 @@ class TraceStore:
     def has_entry(self, key: Hashable) -> bool:
         """Whether the store holds *any* committed artifact for this key.
 
-        Weaker than :meth:`has_trace`: the adaptive write policy may skip
-        the raw trace yet persist the small derived artifacts, and a key
-        whose entry already has visible files has been primed once —
-        whatever is missing was judged cheaper to rebuild than to store.
-        The cold-dispatch planner keys off this, so a policy-thinned
-        store does not get re-primed on every warm run.
+        Weaker than :meth:`has_trace`: a key whose entry already has
+        visible files has been primed once, even if an artifact was
+        since rejected or its save failed — its cells rebuild what is
+        missing under the single-flight leases.  The cold-dispatch
+        planner keys off this, so a partial entry does not get
+        re-primed through the whole DAG on every warm run.
         """
         entry = self.entry_dir(key)
         if not entry.is_dir():
@@ -832,14 +704,9 @@ class TraceStore:
         global _TMP_SEQ
         _TMP_SEQ += 1
         tmp = path.parent / f".{path.name}.{os.getpid()}.{_TMP_SEQ}.tmp"
-        started = time.monotonic()
         with open(tmp, "wb") as handle:
             np.save(handle, array)
-            if int(array.nbytes) >= _POLICY_SAMPLE_BYTES:
-                # Durable timing: without the fsync the page cache
-                # absorbs the write at RAM speed, the EWMA learns a
-                # fictional bandwidth, and the deferred writeback
-                # stalls the run off-stage instead.
+            if int(array.nbytes) >= FSYNC_BYTES:
                 handle.flush()
                 os.fsync(handle.fileno())
         if fault_point(SITE_STORE_TORN, tag=tag, detail=str(path)) is not None:
@@ -847,7 +714,6 @@ class TraceStore:
             with open(tmp, "r+b") as handle:
                 handle.truncate(max(1, size // 2))
         os.replace(tmp, path)
-        _WRITE_POLICY.observe(int(array.nbytes), time.monotonic() - started)
 
     def _commit_trace_stream(
         self,
@@ -873,7 +739,6 @@ class TraceStore:
             "fortran_order": False,
             "shape": (int(total),),
         }
-        started = time.monotonic()
         crc = 0
         written = 0
         with open(tmp, "wb") as handle:
@@ -883,8 +748,7 @@ class TraceStore:
                 crc = zlib.crc32(chunk.view(np.uint8).data, crc)
                 handle.write(chunk.data)
                 written += chunk.size
-            if written * 8 >= _POLICY_SAMPLE_BYTES:
-                # Durable timing — same rationale as _commit_array.
+            if written * 8 >= FSYNC_BYTES:
                 handle.flush()
                 os.fsync(handle.fileno())
         if written != int(total):
@@ -898,7 +762,6 @@ class TraceStore:
             with open(tmp, "r+b") as handle:
                 handle.truncate(max(1, size // 2))
         os.replace(tmp, path)
-        _WRITE_POLICY.observe(written * 8, time.monotonic() - started)
         return crc
 
     def _commit_json(self, path: Path, payload: dict) -> None:

@@ -1,6 +1,6 @@
 """AST lint (tier-1 face of ``tools/astlint.py``).
 
-Six checks over every source file under ``src/``:
+Seven checks over every source file under ``src/``:
 
 - no silent exception swallowing — a bare ``except:`` or an ``except
   Exception: pass`` turns an injected fault (or a real bug) into
@@ -19,7 +19,9 @@ Six checks over every source file under ``src/``:
   ``submission`` is lowercase dotted ``family.name`` with the family
   registered in ``repro.obs.naming.FAMILIES``;
 - optional dependencies stay lazy — modules in ``LAZY_IMPORT_ONLY``
-  import them inside function bodies only.
+  import them inside function bodies only;
+- every ``REPRO_*`` env knob named under ``src/repro`` is registered in
+  ``KNOWN_KNOBS``, and every registered knob is still named there.
 
 The logic lives in ``tools/astlint.py`` so ``make lint`` and this test
 enforce exactly the same rules; the module is imported by file path
@@ -228,3 +230,31 @@ def test_lazy_import_check_flags_module_level_import(tmp_path, monkeypatch):
     other = tmp_path / "repro" / "other.py"
     other.write_text("import numba\n")        # not a lazy-only file
     assert astlint.lazy_import_violations(other) == []
+
+
+def test_sources_match_knob_registry():
+    assert list(astlint.KNOWN_KNOBS) == sorted(set(astlint.KNOWN_KNOBS))
+    problems = astlint.knob_registry_violations()
+    assert not problems, (
+        "REPRO_* knobs drifted from astlint.KNOWN_KNOBS (register a new "
+        "knob on purpose, or drop a retired one):\n  " + "\n  ".join(problems)
+    )
+
+
+def test_knob_registry_flags_unregistered_and_stale_names(tmp_path):
+    sample = tmp_path / "mod.py"
+    sample.write_text(
+        "import os\n"
+        "A = os.environ.get('REPRO_KNOWN')\n"    # registered: fine
+        "B = os.environ.get('REPRO_SNEAKY')\n"   # unregistered: flagged
+        "# REPRO_SNEAKY again\n"                 # reported once, first site
+    )
+    problems = astlint.knob_registry_violations(
+        tmp_path, known=("REPRO_KNOWN", "REPRO_RETIRED")
+    )
+    assert len(problems) == 2, problems
+    assert "mod.py:3:" in problems[0] and "`REPRO_SNEAKY`" in problems[0]
+    assert "`REPRO_RETIRED`" in problems[1]
+    assert astlint.knob_registry_violations(
+        tmp_path, known=("REPRO_KNOWN", "REPRO_SNEAKY")
+    ) == []

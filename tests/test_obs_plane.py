@@ -48,7 +48,6 @@ from repro.sim.parallel import (
     JOB_BACKOFF_ENV,
     JOB_RETRIES_ENV,
     JOB_TIMEOUT_ENV,
-    SCHEDULE_ENV,
     AppSpec,
     ExperimentPool,
     JobSpec,
@@ -375,7 +374,6 @@ class TestTierTraffic:
 # ----------------------------------------------------------------------
 class TestPoolHealthCacheSchedule:
     def _run(self, monkeypatch, tmp_path, plan=None, runs=1):
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
@@ -408,7 +406,6 @@ class TestPoolHealthCacheSchedule:
         from repro.faults import injected
 
         plan = FaultPlan((FaultSpec(SITE_POOL_CRASH, times=0),))
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
@@ -430,7 +427,6 @@ class TestPoolHealthCacheSchedule:
         from repro.faults import injected
 
         plan = FaultPlan((FaultSpec(SITE_POOL_EXIT, times=0),))
-        monkeypatch.setenv(SCHEDULE_ENV, "cache")
         from repro.cachebudget import TRACE_STORE_ENV
 
         monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))

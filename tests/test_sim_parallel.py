@@ -4,9 +4,14 @@ import dataclasses
 
 import pytest
 
+from repro.cachebudget import CACHE_BYTES_ENV, TRACE_STORE_ENV
 from repro.config import nvm_dram_testbed
 from repro.errors import ConfigurationError
+from repro.faults.chaos import committed_figures
+from repro.mem.trace import WORKER_BYTES_ENV
+from repro.sim import tracecache
 from repro.sim.parallel import (
+    POOL_CPUS_ENV,
     AppSpec,
     ExperimentJobError,
     ExperimentPool,
@@ -15,6 +20,7 @@ from repro.sim.parallel import (
     resolve_jobs,
     run_jobs,
 )
+from repro.sim.tracestore import process_trace_store
 
 #: Huge divisor -> every dataset collapses to its floor size; jobs stay tiny.
 TINY = 1 << 20
@@ -68,6 +74,88 @@ class TestParitySerialVsParallel:
         for spec, result in zip(specs, results):
             direct = execute_job(spec)
             assert result.atmem.seconds == direct.atmem.seconds, spec.tag
+
+
+def _assert_store_primed(keys: int) -> None:
+    """The store holds a trace, a mask and a profile for every key."""
+    entries = list(process_trace_store().entries())
+    assert len(entries) == keys
+    for entry in entries:
+        assert entry["artifacts"] == ["mask", "profile", "trace"], entry
+
+
+class TestColdDag:
+    """The staged trace → fold DAG primes every store-cold key.
+
+    One admitted slot (few CPUs, or a worker budget too small for two
+    traces) is the same DAG run one stage at a time, not another path.
+    Each case starts from an empty store and a fresh parent cache.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self, platform):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(TRACE_STORE_ENV, raising=False)
+            mp.setattr(tracecache, "_PROCESS_CACHE", None)
+            results = ExperimentPool(1).run(_grid_specs(platform))
+        return [committed_figures(result) for result in results]
+
+    @pytest.mark.parametrize(
+        "cpus, worker_bytes, admitted",
+        [("2", None, 2), ("1", None, 1), ("2", "4096", 1)],
+        ids=["two-slots", "one-cpu", "starved-budget"],
+    )
+    def test_dag_primes_every_cold_key(
+        self, platform, reference, monkeypatch, tmp_path,
+        cpus, worker_bytes, admitted,
+    ):
+        specs = _grid_specs(platform)
+        keys = {spec.trace_key() for spec in specs}
+        assert len(keys) >= 3
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        monkeypatch.delenv(CACHE_BYTES_ENV, raising=False)
+        monkeypatch.setenv(POOL_CPUS_ENV, cpus)
+        if worker_bytes is None:
+            monkeypatch.delenv(WORKER_BYTES_ENV, raising=False)
+        else:
+            monkeypatch.setenv(WORKER_BYTES_ENV, worker_bytes)
+        monkeypatch.setattr(tracecache, "_PROCESS_CACHE", None)
+
+        cold = ExperimentPool(2)
+        results = cold.run(specs)
+        assert cold.last_mode == "parallel[2]"
+        health = cold.health
+        assert health.cold_keys == len(keys), health.as_dict()
+        assert health.cold_admitted == admitted, health.as_dict()
+        assert health.max_worker_rss_bytes > 0
+        # The DAG landed every artifact before the wave: no cell built one.
+        assert health.cold_jobs == 0, health.as_dict()
+        assert [committed_figures(r) for r in results] == reference
+        _assert_store_primed(len(keys))
+
+        warm = ExperimentPool(2)
+        results = warm.run(specs)
+        health = warm.health
+        assert health.cold_keys == 0, health.as_dict()
+        assert health.cold_jobs == 0, health.as_dict()
+        assert health.store_jobs + health.warm_jobs == len(specs)
+        assert [committed_figures(r) for r in results] == reference
+
+    def test_dag_lands_artifacts_the_parent_already_holds(
+        self, platform, reference, monkeypatch, tmp_path
+    ):
+        """Forked workers inherit the parent's cache; the store still fills."""
+        specs = _grid_specs(platform)
+        monkeypatch.delenv(TRACE_STORE_ENV, raising=False)
+        monkeypatch.setattr(tracecache, "_PROCESS_CACHE", None)
+        ExperimentPool(1).run(specs)  # every artifact now in parent memory
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        monkeypatch.setenv(POOL_CPUS_ENV, "2")
+        pool = ExperimentPool(2)
+        results = pool.run(specs)
+        assert pool.health.cold_keys == len(specs), pool.health.as_dict()
+        assert [committed_figures(r) for r in results] == reference
+        _assert_store_primed(len(specs))
 
 
 class TestErrorPropagation:

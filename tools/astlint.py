@@ -1,6 +1,7 @@
 """AST lint over ``src/repro``: exception hygiene and output discipline.
 
-Six checks, all pure ``ast`` walks (no third-party linter):
+Seven checks, six pure ``ast`` walks plus one source scan (no
+third-party linter):
 
 - **No silent exception swallowing.**  A bare ``except:`` (which also
   catches ``KeyboardInterrupt``/``SystemExit``) or an ``except
@@ -47,6 +48,13 @@ Six checks, all pure ``ast`` walks (no third-party linter):
   unimportable on the baked container image, where the dependency is
   absent by design and the interpreter fallbacks are the product.
 
+- **Every env knob is registered.**  The set of ``REPRO_[A-Z_]+`` names
+  spelled anywhere under ``src/repro`` (code, comments, docstrings)
+  must equal :data:`KNOWN_KNOBS`.  A new knob fails the lint until it
+  is added to the tuple on purpose, and a retired knob fails it until
+  its last mention is gone — so the knob count only moves by an edit
+  someone can review.
+
 Run standalone (``make lint`` / ``python tools/astlint.py``) or through
 the tier-1 test ``tests/test_lint_exceptions.py``, which imports this
 module by path and asserts all checks come back clean.
@@ -55,6 +63,7 @@ module by path and asserts all checks come back clean.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -74,6 +83,34 @@ PRINT_ALLOWED = {
 LAZY_IMPORT_ONLY = {
     "mem/cachejit.py": {"numba"},
 }
+
+#: Every ``REPRO_*`` environment knob named under ``src/repro``, sorted.
+KNOWN_KNOBS = (
+    "REPRO_BENCH_SCALE",
+    "REPRO_CACHE_BYTES",
+    "REPRO_FAULT_PLAN",
+    "REPRO_GRAPH_CACHE",
+    "REPRO_GRAPH_SHM",
+    "REPRO_GRAPH_SHM_MANIFEST",
+    "REPRO_JIT",
+    "REPRO_JOBS",
+    "REPRO_JOB_BACKOFF",
+    "REPRO_JOB_RETRIES",
+    "REPRO_JOB_TIMEOUT",
+    "REPRO_LEASE_TIMEOUT",
+    "REPRO_METRICS_PATH",
+    "REPRO_PARALLEL_JSON",
+    "REPRO_POOL_CPUS",
+    "REPRO_PRICING",
+    "REPRO_TRACE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_STORE",
+    "REPRO_VERIFY_PROFILE",
+    "REPRO_VERIFY_REUSE",
+    "REPRO_WORKER_BYTES",
+)
+
+_KNOB_NAME = re.compile(r"\bREPRO_[A-Z_]+")
 
 
 def _rel(path: Path) -> Path:
@@ -357,6 +394,37 @@ def naming_violations(path: Path) -> list[str]:
     return problems
 
 
+def knob_registry_violations(
+    root: Path | None = None, known: tuple[str, ...] = KNOWN_KNOBS
+) -> list[str]:
+    """Drift between the ``REPRO_*`` names under ``root`` and ``known``.
+
+    ``root`` defaults to ``src/repro``.  Each unregistered name is
+    reported at its first mention; each registered name that no longer
+    appears anywhere is reported against the registry itself.
+    """
+    root = SRC / "repro" if root is None else root
+    seen: dict[str, str] = {}
+    for path in sorted(root.rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for name in _KNOB_NAME.findall(line):
+                seen.setdefault(name, f"{_rel(path)}:{lineno}")
+    problems = [
+        f"{where}: env knob `{name}` is not in astlint.KNOWN_KNOBS — "
+        "register it there on purpose"
+        for name, where in sorted(seen.items())
+        if name not in known
+    ]
+    problems.extend(
+        f"astlint.KNOWN_KNOBS: `{name}` is no longer named under "
+        f"{root} — drop it from the registry"
+        for name in known
+        if name not in seen
+    )
+    return problems
+
+
 def run_lint(root: Path = SRC) -> list[str]:
     """All violations under ``root``, sorted by file and line."""
     files = sorted(root.rglob("*.py"))
@@ -370,6 +438,7 @@ def run_lint(root: Path = SRC) -> list[str]:
         problems.extend(unused_local_violations(path))
         problems.extend(lazy_import_violations(path))
         problems.extend(naming_violations(path))
+    problems.extend(knob_registry_violations(root / "repro"))
     return problems
 
 
